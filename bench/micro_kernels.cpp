@@ -270,14 +270,8 @@ writeTrafficReport()
 
         double softmax_bytes = 0.0;
         for (const auto &[name, stats] : profiler.snapshot()) {
-            BenchKernelRow row;
-            row.name = std::string(entry.prefix) + "/" + name;
-            row.ms = stats.seconds * 1e3;
-            row.bytesRead = stats.bytesRead;
-            row.bytesWritten = stats.bytesWritten;
-            row.calls = stats.calls;
-            row.threads = stats.maxThreads;
-            report.addKernel(row);
+            report.addKernel(BenchKernelRow::fromScope(
+                std::string(entry.prefix) + "/" + name, stats));
             if (name.rfind("softmax.", 0) == 0)
                 softmax_bytes +=
                     double(stats.bytesRead + stats.bytesWritten);

@@ -79,12 +79,8 @@ runArm(BenchReport &report, const std::string &prefix,
     ArmResult result;
     result.ms = seconds * 1e3;
     for (const auto &[scope_name, totals] : profiler.snapshot()) {
-        BenchKernelRow row;
-        row.name = prefix + "/" + scope_name;
-        row.ms = totals.seconds * 1e3;
-        row.bytesRead = totals.bytesRead;
-        row.bytesWritten = totals.bytesWritten;
-        row.calls = totals.calls;
+        BenchKernelRow row =
+            BenchKernelRow::fromScope(prefix + "/" + scope_name, totals);
         row.threads = ctx.threads();
         report.addKernel(row);
         result.bytes += totals.bytesRead + totals.bytesWritten;

@@ -217,12 +217,8 @@ main()
 
         for (const auto &[scope_name, totals] :
              profiler.snapshot()) {
-            BenchKernelRow row;
-            row.name = std::string(arm.name) + "/" + scope_name;
-            row.ms = totals.seconds * 1e3;
-            row.bytesRead = totals.bytesRead;
-            row.bytesWritten = totals.bytesWritten;
-            row.calls = totals.calls;
+            BenchKernelRow row = BenchKernelRow::fromScope(
+                std::string(arm.name) + "/" + scope_name, totals);
             row.threads = ctx.threads();
             report.addKernel(row);
         }

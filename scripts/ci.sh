@@ -24,12 +24,15 @@
 #      test_serve exercises queue/pool shutdown ordering;
 #      test_admission races concurrent reserves; test_serve_engine
 #      drives the async engine's producer/consumer threads;
-#      test_streaming_attention runs the tiled kernel's strips)
+#      test_streaming_attention runs the tiled kernel's strips;
+#      test_gemm and test_simd_kernels run the packed GEMM's strips)
 #   8. bench smoke: micro_kernels, micro_simd, micro_streaming,
 #      serve_throughput, and the serve_load admission-regime trace at
 #      a CI-sized sequence length; SOFTREC_BENCH_DIR routes every
-#      report to the repo root, each expected BENCH_*.json must exist
-#      there, and all must pass tools/check_bench_json.py (the
+#      report to build/release/bench (the committed BENCH_*.json files
+#      at the repo root are canonical runs, never overwritten here),
+#      each expected report must exist there, and all must pass
+#      tools/check_bench_json.py (the
 #      serve_throughput smoke includes the int8-vs-f16 KV capacity A/B
 #      arm and asserts its >= 1.8x ratio; the serve_load smoke includes
 #      the head-of-line arm — 4k-token prompts arriving mid-decode —
@@ -136,49 +139,54 @@ cmake --build build/tsan -j "${JOBS}" --target \
     test_exec_context test_parallel_determinism \
     test_attention_exec test_functional_layer test_profiler \
     test_serve test_admission test_serve_engine \
-    test_streaming_attention
+    test_streaming_attention test_gemm test_simd_kernels
 SOFTREC_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build/tsan --output-on-failure -j "${JOBS}" \
-    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention'
+    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention|test_gemm|test_simd_kernels'
+
+# Smoke reports land in the build tree; clear stale ones so the
+# existence check below sees only this run's output.
+BENCH_OUT="${ROOT}/build/release/bench"
+rm -f "${BENCH_OUT}"/BENCH_*.json
 
 step "serve-load smoke: admission regimes under a live trace"
 cmake --build build/release -j "${JOBS}" --target serve_load
 ( cd build/release/bench &&
-  SOFTREC_BENCH_DIR="${ROOT}" SOFTREC_THREADS=4 ./serve_load \
+  SOFTREC_BENCH_DIR="${BENCH_OUT}" SOFTREC_THREADS=4 ./serve_load \
       >/dev/null )
 
-step "bench smoke: BENCH JSON schema gate (reports at repo root)"
+step "bench smoke: BENCH JSON schema gate (reports in build/release/bench)"
 cmake --build build/release -j "${JOBS}" --target micro_kernels \
     micro_simd micro_streaming serve_throughput
 ( cd build/release/bench &&
-  SOFTREC_BENCH_DIR="${ROOT}" \
+  SOFTREC_BENCH_DIR="${BENCH_OUT}" \
   SOFTREC_BENCH_SEQLEN=512 SOFTREC_THREADS=4 ./micro_kernels \
       --benchmark_filter='BM_SafeSoftmax/512' >/dev/null )
 ( cd build/release/bench &&
-  SOFTREC_BENCH_DIR="${ROOT}" \
+  SOFTREC_BENCH_DIR="${BENCH_OUT}" \
   SOFTREC_BENCH_SEQLEN=512 ./micro_simd >/dev/null )
 ( cd build/release/bench &&
-  SOFTREC_BENCH_DIR="${ROOT}" \
+  SOFTREC_BENCH_DIR="${BENCH_OUT}" \
   SOFTREC_BENCH_SEQLEN=128 SOFTREC_THREADS=4 ./serve_throughput \
       >/dev/null )
 ( cd build/release/bench &&
-  SOFTREC_BENCH_DIR="${ROOT}" \
+  SOFTREC_BENCH_DIR="${BENCH_OUT}" \
   SOFTREC_BENCH_SEQLEN=256 SOFTREC_THREADS=4 ./micro_streaming \
       >/dev/null )
 for report in BENCH_micro_kernels.json BENCH_micro_simd.json \
               BENCH_micro_streaming.json \
               BENCH_serve_throughput.json BENCH_serve_load.json; do
-    if [ ! -f "${ROOT}/${report}" ]; then
-        echo "ci: expected bench report ${report} missing at repo root" >&2
+    if [ ! -f "${BENCH_OUT}/${report}" ]; then
+        echo "ci: expected bench report ${report} missing in ${BENCH_OUT}" >&2
         exit 1
     fi
 done
 python3 tools/check_bench_json.py \
-    "${ROOT}/BENCH_micro_kernels.json" \
-    "${ROOT}/BENCH_micro_simd.json" \
-    "${ROOT}/BENCH_micro_streaming.json" \
-    "${ROOT}/BENCH_serve_throughput.json" \
-    "${ROOT}/BENCH_serve_load.json"
+    "${BENCH_OUT}/BENCH_micro_kernels.json" \
+    "${BENCH_OUT}/BENCH_micro_simd.json" \
+    "${BENCH_OUT}/BENCH_micro_streaming.json" \
+    "${BENCH_OUT}/BENCH_serve_throughput.json" \
+    "${BENCH_OUT}/BENCH_serve_load.json"
 
 step "negative: malformed env knobs must hard-error, not fall back"
 if SOFTREC_BENCH_SEQLEN=lots ./build/release/bench/micro_simd \

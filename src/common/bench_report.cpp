@@ -91,19 +91,26 @@ BenchReport::addKernel(const BenchKernelRow &row)
     kernels_.push_back(row);
 }
 
+BenchKernelRow
+BenchKernelRow::fromScope(std::string name,
+                          const prof::ScopeStats &stats)
+{
+    BenchKernelRow row;
+    row.name = std::move(name);
+    row.ms = stats.seconds * 1e3;
+    row.bytesRead = stats.bytesRead;
+    row.bytesWritten = stats.bytesWritten;
+    row.calls = stats.calls;
+    row.threads = stats.maxThreads;
+    row.flops = stats.flops;
+    return row;
+}
+
 void
 BenchReport::addKernels(const prof::Profiler &profiler)
 {
-    for (const auto &[name, stats] : profiler.snapshot()) {
-        BenchKernelRow row;
-        row.name = name;
-        row.ms = stats.seconds * 1e3;
-        row.bytesRead = stats.bytesRead;
-        row.bytesWritten = stats.bytesWritten;
-        row.calls = stats.calls;
-        row.threads = stats.maxThreads;
-        kernels_.push_back(row);
-    }
+    for (const auto &[name, stats] : profiler.snapshot())
+        kernels_.push_back(BenchKernelRow::fromScope(name, stats));
 }
 
 void
@@ -137,7 +144,12 @@ BenchReport::render() const
             << ", \"bytes_read\": " << row.bytesRead
             << ", \"bytes_written\": " << row.bytesWritten
             << ", \"calls\": " << row.calls
-            << ", \"threads\": " << row.threads << "}";
+            << ", \"threads\": " << row.threads;
+        if (row.flops > 0 && row.ms > 0.0) {
+            out << ", \"gflops\": "
+                << jsonNumber(double(row.flops) / (row.ms * 1e6));
+        }
+        out << "}";
     }
     out << (kernels_.empty() ? "" : "\n  ") << "],\n";
 

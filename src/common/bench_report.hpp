@@ -13,13 +13,16 @@
  *       "kernels": [
  *         { "name": "<scope>", "ms": <number>,
  *           "bytes_read": <integer>, "bytes_written": <integer>,
- *           "calls": <integer>, "threads": <integer> }, ...
+ *           "calls": <integer>, "threads": <integer>,
+ *           "gflops": <number> }, ...
  *       ],
  *       "derived": { "<key>": <number>, ... }
  *     }
  *
- * All numbers are emitted with std::to_chars, so the output is
- * locale-independent by construction.
+ * `gflops` (achieved GFLOP/s over the row's time) is present only on
+ * rows that counted arithmetic work and took time. All numbers are
+ * emitted with std::to_chars, so the output is locale-independent by
+ * construction.
  */
 
 #ifndef SOFTREC_COMMON_BENCH_REPORT_HPP
@@ -43,6 +46,11 @@ struct BenchKernelRow
     uint64_t bytesWritten = 0;
     int64_t calls = 0;
     int threads = 1;
+    uint64_t flops = 0; //!< arithmetic work; 0 = not counted
+
+    /** Row carrying one profiler scope's totals under `name`. */
+    static BenchKernelRow fromScope(std::string name,
+                                    const prof::ScopeStats &stats);
 };
 
 /** Builder for one BENCH_<name>.json document. */
@@ -75,9 +83,9 @@ class BenchReport
 
     /**
      * Conventional output path: `BENCH_<name>.json`, placed under
-     * $SOFTREC_BENCH_DIR when that is set (CI points it at the repo
-     * root so the perf trajectory accumulates there instead of being
-     * stranded inside throwaway build trees).
+     * $SOFTREC_BENCH_DIR when that is set (CI points it at its build
+     * tree, so smoke runs never overwrite the canonical reports
+     * committed at the repo root).
      */
     std::string defaultPath() const;
 

@@ -48,6 +48,7 @@ Profiler::merge(const char *name, const ScopeStats &delta)
     total.seconds += delta.seconds;
     total.bytesRead += delta.bytesRead;
     total.bytesWritten += delta.bytesWritten;
+    total.flops += delta.flops;
     total.calls += delta.calls;
     total.maxThreads = std::max(total.maxThreads, delta.maxThreads);
 }
@@ -84,6 +85,7 @@ Scope::~Scope()
     for (const Slot &slot : slots_) {
         delta.bytesRead += slot.read;
         delta.bytesWritten += slot.written;
+        delta.flops += slot.flops;
     }
     delta.calls = 1;
     delta.maxThreads = threads_;

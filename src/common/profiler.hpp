@@ -1,17 +1,18 @@
 /**
  * @file
- * Low-overhead kernel profiler: named scopes recording wall time and
- * byte traffic (reads/writes issued by each functional kernel), with
- * race-free aggregation under the ThreadPool.
+ * Low-overhead kernel profiler: named scopes recording wall time,
+ * byte traffic (reads/writes issued by each functional kernel) and
+ * arithmetic work, with race-free aggregation under the ThreadPool.
  *
  * Usage: attach a Profiler to an ExecContext (`ctx.profiler = &prof`)
  * and wrap each kernel body in a `prof::Scope`. Chunk bodies report
- * traffic through `addRead`/`addWrite`, which accumulate into a
- * cache-line-padded per-thread slot (indexed by currentThreadSlot())
- * — no atomics or locks on the hot path. The Scope destructor merges
- * the slots into the Profiler under a mutex; the pool's completion
- * handshake orders every worker's slot writes before the merge, so
- * the whole scheme is clean under ThreadSanitizer.
+ * traffic through `addRead`/`addWrite` and work through `addFlops`,
+ * which accumulate into a cache-line-padded per-thread slot (indexed
+ * by currentThreadSlot()) — no atomics or locks on the hot path. The
+ * Scope destructor merges the slots into the Profiler under a mutex;
+ * the pool's completion handshake orders every worker's slot writes
+ * before the merge, so the whole scheme is clean under
+ * ThreadSanitizer.
  *
  * When no profiler is attached (`ctx.profiler == nullptr`, the
  * default) a Scope is inert: no clock read, no allocation, and
@@ -46,6 +47,7 @@ struct ScopeStats
     double seconds = 0.0;       //!< summed wall time of timed scopes
     uint64_t bytesRead = 0;     //!< operand bytes read
     uint64_t bytesWritten = 0;  //!< operand bytes written
+    uint64_t flops = 0;         //!< arithmetic operations performed
     int64_t calls = 0;          //!< scope entries (kernel invocations)
     int maxThreads = 1;         //!< widest concurrency seen
 };
@@ -123,6 +125,16 @@ class Scope
             slots_[size_t(currentThreadSlot())].written += bytes;
     }
 
+    /**
+     * Credit `flops` arithmetic operations (a multiply-add counts as
+     * two) to the calling thread's slot.
+     */
+    void addFlops(uint64_t flops)
+    {
+        if (profiler_ != nullptr)
+            slots_[size_t(currentThreadSlot())].flops += flops;
+    }
+
   private:
     /**
      * Padded to a cache line so two threads bumping adjacent slots
@@ -132,6 +144,7 @@ class Scope
     {
         uint64_t read = 0;
         uint64_t written = 0;
+        uint64_t flops = 0;
     };
 
     Profiler *profiler_ = nullptr; //!< nullptr = inert scope

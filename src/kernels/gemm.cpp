@@ -9,12 +9,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
+#include "kernels/micro_gemm.hpp"
 #include "sim/calibration.hpp"
 
 namespace softrec {
@@ -205,12 +207,10 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     // Pack B once per call into one fp32 panel per n-tile, laid out
     // [k][tileN] so the micro-kernel streams it contiguously. This
     // hoists the transposeB branch and every B-side conversion out of
-    // the mainloop (the old code reconverted each B element once per
-    // consuming output row). Ragged tail columns are zero-padded so
-    // the kernel always accumulates a full tileN-wide panel; padding
-    // contributes exact zeros and the epilogue never stores them.
-    std::vector<float> bpack(size_t(tiles_n) * size_t(k) *
-                             size_t(t.tileN), 0.0f);
+    // the mainloop. The ragged tail columns of the last panel stay
+    // unset: the micro-kernel only reads the nw columns a tile stores.
+    const auto bpack = std::make_unique_for_overwrite<float[]>(
+        size_t(tiles_n) * size_t(k) * size_t(t.tileN));
     if (!ops.transposeB) {
         // B is [k, n]: each row feeds one contiguous strip per panel.
         for (int64_t kk = 0; kk < k; ++kk) {
@@ -236,49 +236,9 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         }
     }
 
-    // Register-blocked fp32 micro-kernel: acc[mh, tileN] += A[mh, k]
-    // . panel[k, tileN], four output rows sharing each panel row
-    // sweep. Accumulation is unconditional (no zero-operand skip) and
-    // k-ascending per output element, the same order as a scalar
-    // triple loop, so tiling is invisible in the result bits.
-    const auto microKernel = [&t](const float *SOFTREC_RESTRICT a_rows,
-                                  const float *SOFTREC_RESTRICT panel,
-                                  float *SOFTREC_RESTRICT acc,
-                                  int64_t mh, int64_t k_depth) {
-        const int64_t ldn = t.tileN;
-        int64_t i = 0;
-        for (; i + 4 <= mh; i += 4) {
-            const float *a0 = a_rows + (i + 0) * k_depth;
-            const float *a1 = a_rows + (i + 1) * k_depth;
-            const float *a2 = a_rows + (i + 2) * k_depth;
-            const float *a3 = a_rows + (i + 3) * k_depth;
-            float *c0 = acc + (i + 0) * ldn;
-            float *c1 = acc + (i + 1) * ldn;
-            float *c2 = acc + (i + 2) * ldn;
-            float *c3 = acc + (i + 3) * ldn;
-            for (int64_t kk = 0; kk < k_depth; ++kk) {
-                const float *b = panel + kk * ldn;
-                const float v0 = a0[kk], v1 = a1[kk];
-                const float v2 = a2[kk], v3 = a3[kk];
-                for (int64_t j = 0; j < ldn; ++j) {
-                    c0[j] += v0 * b[j];
-                    c1[j] += v1 * b[j];
-                    c2[j] += v2 * b[j];
-                    c3[j] += v3 * b[j];
-                }
-            }
-        }
-        for (; i < mh; ++i) {
-            const float *ar = a_rows + i * k_depth;
-            float *cr = acc + i * ldn;
-            for (int64_t kk = 0; kk < k_depth; ++kk) {
-                const float *b = panel + kk * ldn;
-                const float v = ar[kk];
-                for (int64_t j = 0; j < ldn; ++j)
-                    cr[j] += v * b[j];
-            }
-        }
-    };
+    const float scale = float(desc.epilogue.scale);
+    const bool scaled = desc.epilogue.scale != 1.0;
+    const float *bias = desc.epilogue.bias ? ops.bias->data() : nullptr;
 
     // One m-tile strip of output: all n-tiles for rows [m0, m0 + mh).
     // The strip's A rows are converted (and GS-scaled) once into abuf;
@@ -302,29 +262,34 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         for (int64_t tn = 0; tn < tiles_n; ++tn) {
             const int64_t n0 = tn * t.tileN;
             const int64_t nw = std::min(t.tileN, n - n0);
-            std::fill(acc.begin(), acc.end(), 0.0f);
-            microKernel(abuf.data(),
-                        &bpack[size_t(tn) * size_t(k) *
-                               size_t(t.tileN)],
-                        acc.data(), mh, k);
+            microGemm(abuf.data(), k,
+                      &bpack[size_t(tn) * size_t(k) * size_t(t.tileN)],
+                      t.tileN, acc.data(), t.tileN, mh, nw, k);
 
-            // Epilogue on the fp32 tile; C stores go through the
-            // batch converter per row.
+            // Epilogue on the fp32 tile, one pass per configured step
+            // so each loop vectorizes. Per element the order is still
+            // scale, mask, bias, GeLU. C stores go through the batch
+            // converter per row.
             for (int64_t i = 0; i < mh; ++i) {
                 float *row = &acc[size_t(i * t.tileN)];
-                for (int64_t j = 0; j < nw; ++j) {
-                    float v = row[j];
-                    if (desc.epilogue.scale != 1.0)
-                        v *= float(desc.epilogue.scale);
-                    if (desc.epilogue.causalMask &&
-                        (n0 + j) > (m0 + i)) {
-                        v = neg_inf;
-                    }
-                    if (desc.epilogue.bias)
-                        v += ops.bias->at(n0 + j);
-                    if (desc.epilogue.gelu)
-                        v = geluApprox(v);
-                    row[j] = v;
+                if (scaled) {
+                    for (int64_t j = 0; j < nw; ++j)
+                        row[j] *= scale;
+                }
+                if (desc.epilogue.causalMask) {
+                    // Mask the columns past the diagonal, n0 + j > m0 + i.
+                    const int64_t diag =
+                        std::max<int64_t>(0, m0 + i + 1 - n0);
+                    for (int64_t j = diag; j < nw; ++j)
+                        row[j] = neg_inf;
+                }
+                if (bias != nullptr) {
+                    for (int64_t j = 0; j < nw; ++j)
+                        row[j] += bias[n0 + j];
+                }
+                if (desc.epilogue.gelu) {
+                    for (int64_t j = 0; j < nw; ++j)
+                        row[j] = geluApprox(row[j]);
                 }
 
                 if (desc.epilogue.localSoftmax) {
@@ -368,6 +333,7 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                 const uint64_t mh = uint64_t(std::min(t.tileM, m - m0));
                 scope.addRead(mh * uint64_t(k) * kFp16Bytes);
                 scope.addWrite(mh * uint64_t(n) * kFp16Bytes);
+                scope.addFlops(2 * mh * uint64_t(n) * uint64_t(k));
                 if (ls_scope) // m'/d' per (row, sub-vector)
                     ls_scope->addWrite(mh * uint64_t(tiles_n) * 2 *
                                        kFp32Bytes);

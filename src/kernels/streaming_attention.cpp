@@ -38,6 +38,7 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "kernels/kernel_common.hpp"
+#include "kernels/micro_gemm.hpp"
 
 namespace softrec {
 
@@ -139,53 +140,6 @@ storeRow(float *SOFTREC_RESTRICT acc, int64_t dh, float m, float d,
     floatToHalf(acc, out, dh);
 }
 
-/**
- * Score one key tile for a strip of query rows: s[i, j] += q_i . k_j
- * over the packed fp32 panel, with gemm.cpp's 4-row register blocking.
- * Accumulation is d-ascending per element, so blocking is invisible
- * in the result bits (each element is an independent dot product).
- */
-void
-scoreTile(const float *SOFTREC_RESTRICT q_rows,
-          const float *SOFTREC_RESTRICT panel,
-          float *SOFTREC_RESTRICT s, int64_t rows, int64_t dh)
-{
-    constexpr int64_t ldn = kStreamKeyTile;
-    std::fill(s, s + rows * ldn, 0.0f);
-    int64_t i = 0;
-    for (; i + 4 <= rows; i += 4) {
-        const float *a0 = q_rows + (i + 0) * dh;
-        const float *a1 = q_rows + (i + 1) * dh;
-        const float *a2 = q_rows + (i + 2) * dh;
-        const float *a3 = q_rows + (i + 3) * dh;
-        float *c0 = s + (i + 0) * ldn;
-        float *c1 = s + (i + 1) * ldn;
-        float *c2 = s + (i + 2) * ldn;
-        float *c3 = s + (i + 3) * ldn;
-        for (int64_t kk = 0; kk < dh; ++kk) {
-            const float *b = panel + kk * ldn;
-            const float v0 = a0[kk], v1 = a1[kk];
-            const float v2 = a2[kk], v3 = a3[kk];
-            for (int64_t j = 0; j < ldn; ++j) {
-                c0[j] += v0 * b[j];
-                c1[j] += v1 * b[j];
-                c2[j] += v2 * b[j];
-                c3[j] += v3 * b[j];
-            }
-        }
-    }
-    for (; i < rows; ++i) {
-        const float *ar = q_rows + i * dh;
-        float *cr = s + i * ldn;
-        for (int64_t kk = 0; kk < dh; ++kk) {
-            const float *b = panel + kk * ldn;
-            const float v = ar[kk];
-            for (int64_t j = 0; j < ldn; ++j)
-                cr[j] += v * b[j];
-        }
-    }
-}
-
 /** Query strip height (rows per parallelFor chunk). */
 constexpr int64_t kStreamQueryTile = 64;
 
@@ -218,8 +172,8 @@ streamingAttentionRun(const ExecContext &ctx,
 
     // Pack K once into one fp32 panel per key tile, laid out
     // [dHead][kStreamKeyTile] (the gemm.cpp transposeB scatter), so
-    // scoreTile streams it contiguously; ragged tail columns are
-    // zero-padded and never consumed. V is converted once into fp32
+    // the micro-kernel streams it contiguously; ragged tail columns
+    // are zero-padded and never consumed. V is converted once into fp32
     // rows shared read-only by every strip.
     const int64_t tiles = ceilDiv(kv, kStreamKeyTile);
     std::vector<float> kpack(size_t(tiles) * size_t(dh) *
@@ -271,10 +225,11 @@ streamingAttentionRun(const ExecContext &ctx,
             for (int64_t t0 = 0; t0 < strip_kv; t0 += kStreamKeyTile) {
                 const int64_t w_full =
                     std::min(kStreamKeyTile, kv - t0);
-                scoreTile(qf.data(),
+                microGemm(qf.data(), dh,
                           &kpack[size_t((t0 / kStreamKeyTile) * dh *
                                         kStreamKeyTile)],
-                          sbuf.data(), rh, dh);
+                          kStreamKeyTile, sbuf.data(), kStreamKeyTile,
+                          rh, w_full, dh);
                 if (desc.scale != 1.0) {
                     for (int64_t i = 0; i < rh; ++i) {
                         float *sr = &sbuf[size_t(i * kStreamKeyTile)];

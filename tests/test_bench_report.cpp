@@ -68,6 +68,11 @@ TEST(BenchReport, EmitsSchemaAndSections)
     row.calls = 3;
     row.threads = 4;
     report.addKernel(row);
+    BenchKernelRow gemm;
+    gemm.name = "sda.qk";
+    gemm.ms = 2.0;
+    gemm.flops = 5'000'000'000;
+    report.addKernel(gemm);
     report.setDerived("speedup", 1.25);
 
     const std::string json = report.render();
@@ -83,6 +88,9 @@ TEST(BenchReport, EmitsSchemaAndSections)
     EXPECT_TRUE(contains(json, "\"bytes_written\": 2048"));
     EXPECT_TRUE(contains(json, "\"calls\": 3"));
     EXPECT_TRUE(contains(json, "\"threads\": 4"));
+    // gflops appears only on a row that counted work: 5e9 / 2 ms.
+    EXPECT_TRUE(contains(json, "\"threads\": 1, \"gflops\": 2500}"));
+    EXPECT_TRUE(contains(json, "\"threads\": 4}"));
     EXPECT_TRUE(contains(json, "\"speedup\": 1.25"));
     EXPECT_EQ(json.back(), '\n');
 }

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -220,6 +221,70 @@ TEST(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
         for (int64_t j = 0; j < kDm; ++j)
             EXPECT_EQ(view.row(i)[j].bits(), k.at(i, j).bits())
                 << "row " << i << " column " << j;
+}
+
+/** FNV-1a over the fp16 bit patterns of `t`, continuing from `h`. */
+uint64_t
+hashBits(uint64_t h, const Tensor<Half> &t)
+{
+    for (int64_t i = 0; i < t.numel(); ++i) {
+        const uint16_t bits = t.data()[i].bits();
+        for (const uint16_t byte : {uint16_t(bits & 0xffu),
+                                    uint16_t(bits >> 8)}) {
+            h ^= byte;
+            h *= 0x100000001b3ull;
+        }
+    }
+    return h;
+}
+
+/**
+ * Hash of a serving-sized generation: the prefill output of a
+ * 77-token prompt (ragged against every tile width) through a
+ * d_model 256, 4-head, 2-layer stack, then 8 single-row decode steps.
+ */
+uint64_t
+goldenGenerationHash(AttentionBackend backend)
+{
+    constexpr int64_t dm = 256;
+    constexpr int64_t layers = 2;
+    constexpr int64_t prompt_tokens = 77;
+    Rng rng(1234);
+    DecoderStack stack = DecoderStack::random(dm, 4, 1024, layers, rng);
+    stack.config.attention = backend;
+    Tensor<Half> prompt(Shape({prompt_tokens, dm}));
+    for (int64_t i = 0; i < prompt.numel(); ++i)
+        prompt.data()[i] = Half(float(rng.normal(0.0, 0.5)));
+
+    const ExecContext ctx = ExecContext::fromEnv();
+    KvSlab slab(/*block_tokens=*/16, dm);
+    KvCache cache(slab, layers);
+    const Tensor<Half> prefill = runPrefill(ctx, stack, prompt, cache);
+    uint64_t h = hashBits(0xcbf29ce484222325ull, prefill);
+
+    Tensor<Half> input(Shape({1, dm}));
+    for (int64_t j = 0; j < dm; ++j)
+        input.at(0, j) = prefill.at(prompt_tokens - 1, j);
+    DecodeStepWorkspace ws;
+    Tensor<Half> next;
+    for (int step = 0; step < 8; ++step) {
+        runDecodeStepInto(ctx, stack, input, {&cache}, ws, next);
+        h = hashBits(h, next);
+        std::swap(input, next);
+    }
+    return h;
+}
+
+TEST(GoldenBits, GenerationMatchesRecordedHash)
+{
+    // Recorded from the build before the register-blocked SIMD GEMM
+    // micro-kernel replaced the scalar tile loops. Kernel changes that
+    // claim "no numeric change" must keep these; any intended change
+    // in numerics re-records them and says so.
+    EXPECT_EQ(goldenGenerationHash(AttentionBackend::Recomposed),
+              0x8cd5f100239dfd2aull);
+    EXPECT_EQ(goldenGenerationHash(AttentionBackend::Streaming),
+              0x1d9b074bcd535ce5ull);
 }
 
 TEST(DecodeStep, StructureAndWeightBoundGemvs)

@@ -64,11 +64,13 @@ TEST(Profiler, SerialScopeAggregates)
         EXPECT_TRUE(scope.active());
         scope.addRead(100);
         scope.addWrite(10);
+        scope.addFlops(1000);
     }
     const prof::ScopeStats stats = profiler.statsFor("kernel.a");
     EXPECT_EQ(stats.calls, 3);
     EXPECT_EQ(stats.bytesRead, 300u);
     EXPECT_EQ(stats.bytesWritten, 30u);
+    EXPECT_EQ(stats.flops, 3000u);
     EXPECT_GE(stats.seconds, 0.0);
     EXPECT_EQ(stats.maxThreads, 1);
 }
@@ -149,12 +151,14 @@ TEST(Profiler, ParallelMergeIsDeterministic)
                             scope.addRead(uint64_t(end - begin) *
                                           kBytesPer);
                             scope.addWrite(uint64_t(end - begin));
+                            scope.addFlops(2 * uint64_t(end - begin));
                         });
         }
         const prof::ScopeStats stats =
             profiler.statsFor("kernel.parallel");
         EXPECT_EQ(stats.bytesRead, uint64_t(kElems) * kBytesPer);
         EXPECT_EQ(stats.bytesWritten, uint64_t(kElems));
+        EXPECT_EQ(stats.flops, 2 * uint64_t(kElems));
         EXPECT_EQ(stats.calls, 1);
         EXPECT_EQ(stats.maxThreads, 4);
     }

@@ -4,13 +4,16 @@
  * conversions must be bit-for-bit identical between the scalar and
  * SIMD backends (including NaN payloads, infinities, subnormals, and
  * rounding boundaries), the packed-panel GEMM must match the naive
- * reference at ragged shapes under both backends, and kernels built
- * on the substrate must stay deterministic across thread counts.
+ * reference at ragged shapes under both backends and a scalar triple
+ * loop of the same arithmetic bit for bit, and kernels built on the
+ * substrate must stay deterministic across thread counts.
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -274,6 +277,207 @@ TEST(PackedGemm, FusedLsEpilogueMatchesUnfused)
     EXPECT_LT(maxAbsDiff(toFloat(x_prime), toFloat(want_x)), 0.02);
     EXPECT_LT(maxAbsDiff(local_max, want_max), 0.02);
     EXPECT_LT(maxAbsDiff(local_sum, want_sum), 0.02);
+}
+
+// --- Bit-exact micro-kernel against a scalar triple loop ----------
+
+/** Epilogue/prologue combination run through gemmRun. */
+struct GemmVariant
+{
+    const char *name;
+    double scale = 1.0;
+    bool causalMask = false;
+    bool bias = false;
+    bool gelu = false;
+    bool localSoftmax = false;
+    bool globalScale = false;
+};
+
+/** fp16 bits of C plus the fp32 m'/d' of a fused LS epilogue. */
+struct GemmBits
+{
+    std::vector<uint16_t> c;
+    std::vector<float> localMax, localSum;
+};
+
+/**
+ * Scalar triple loop with gemmRun's exact arithmetic: per element,
+ * +0 plus a * b in ascending k (one multiply, one add), then scale,
+ * mask, bias, GeLU, and the LS epilogue per tileN-wide sub-vector.
+ */
+GemmBits
+scalarGemmBits(const GemmDesc &desc, const GemmOperands &ops)
+{
+    const float neg_inf = -std::numeric_limits<float>::infinity();
+    const int64_t tile_n = desc.tiling.tileN;
+    const int64_t tiles_n = (desc.n + tile_n - 1) / tile_n;
+    // Widen (and GS-scale) A once, and lay B out as [n][k]; both are
+    // exact, so only the summation below decides the bits.
+    std::vector<float> a(size_t(desc.m * desc.k));
+    std::vector<float> bt(size_t(desc.n * desc.k));
+    for (int64_t i = 0; i < desc.m; ++i) {
+        for (int64_t kk = 0; kk < desc.k; ++kk) {
+            float v = float(ops.a->at(i, kk));
+            if (desc.prologue.globalScale)
+                v *= ops.gsFactors->at(i, kk / desc.prologue.gsSubVector);
+            a[size_t(i * desc.k + kk)] = v;
+        }
+    }
+    for (int64_t j = 0; j < desc.n; ++j)
+        for (int64_t kk = 0; kk < desc.k; ++kk)
+            bt[size_t(j * desc.k + kk)] = ops.transposeB
+                ? float(ops.b->at(j, kk))
+                : float(ops.b->at(kk, j));
+
+    GemmBits out;
+    std::vector<float> row(size_t(desc.n));
+    for (int64_t i = 0; i < desc.m; ++i) {
+        for (int64_t j = 0; j < desc.n; ++j) {
+            const float *ar = &a[size_t(i * desc.k)];
+            const float *br = &bt[size_t(j * desc.k)];
+            float acc = 0.0f;
+            for (int64_t kk = 0; kk < desc.k; ++kk)
+                acc += ar[kk] * br[kk];
+            if (desc.epilogue.scale != 1.0)
+                acc *= float(desc.epilogue.scale);
+            if (desc.epilogue.causalMask && j > i)
+                acc = neg_inf;
+            if (desc.epilogue.bias)
+                acc += ops.bias->at(j);
+            if (desc.epilogue.gelu)
+                acc = geluApprox(acc);
+            row[size_t(j)] = acc;
+        }
+        if (desc.epilogue.localSoftmax) {
+            for (int64_t tn = 0; tn < tiles_n; ++tn) {
+                const int64_t j0 = tn * tile_n;
+                const int64_t j1 = std::min(desc.n, j0 + tile_n);
+                float local_max = neg_inf;
+                for (int64_t j = j0; j < j1; ++j)
+                    local_max = std::max(local_max, row[size_t(j)]);
+                float local_sum = 0.0f;
+                for (int64_t j = j0; j < j1; ++j) {
+                    const float e = local_max == neg_inf
+                        ? 0.0f
+                        : std::exp(row[size_t(j)] - local_max);
+                    local_sum += e;
+                    row[size_t(j)] = e;
+                }
+                out.localMax.push_back(local_max);
+                out.localSum.push_back(local_sum);
+            }
+        }
+        for (int64_t j = 0; j < desc.n; ++j)
+            out.c.push_back(Half(row[size_t(j)]).bits());
+    }
+    return out;
+}
+
+/** Raw bits of a float, so -0, NaN payloads and infinities compare. */
+uint32_t
+floatBits(float value)
+{
+    uint32_t bits;
+    __builtin_memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/** gemmRun under `backend` must reproduce `want` bit for bit. */
+void
+expectBitExact(const GemmDesc &desc, const GemmOperands &ops,
+               const GemmBits &want, SimdBackend backend)
+{
+    SCOPED_TRACE(simdBackendName(backend));
+    const int64_t tiles_n =
+        (desc.n + desc.tiling.tileN - 1) / desc.tiling.tileN;
+    Tensor<Half> c(Shape({desc.m, desc.n}));
+    Tensor<float> local_max(Shape({desc.m, tiles_n}));
+    Tensor<float> local_sum(Shape({desc.m, tiles_n}));
+    LsOutputs ls;
+    ls.localMax = &local_max;
+    ls.localSum = &local_sum;
+    withBackend(backend, [&] { gemmRun(ExecContext(), desc, ops, c, &ls); });
+    for (int64_t i = 0; i < c.numel(); ++i)
+        ASSERT_EQ(c.data()[i].bits(), want.c[size_t(i)]) << "elem " << i;
+    if (!desc.epilogue.localSoftmax)
+        return;
+    for (int64_t i = 0; i < local_max.numel(); ++i) {
+        ASSERT_EQ(floatBits(local_max.data()[i]),
+                  floatBits(want.localMax[size_t(i)]))
+            << "m' " << i;
+        ASSERT_EQ(floatBits(local_sum.data()[i]),
+                  floatBits(want.localSum[size_t(i)]))
+            << "d' " << i;
+    }
+}
+
+TEST(PackedGemm, BitExactAgainstScalarTripleLoop)
+{
+    // m covers single rows, partial and whole 4-row register blocks
+    // and a ragged 16-row strip; tileN covers one vector, a vector
+    // plus a scalar tail, one register block and several; k runs from
+    // a single step to a depth far beyond any block. n = 2 * tileN + 5
+    // leaves a ragged final tile of 5 columns. A product of two fp16
+    // values is exact in fp32, so a fused multiply-add would only
+    // change bits where GS scales A by fp32 factors; LS then exposes
+    // the fp32 sums through m', which the fp16 store would mostly hide.
+    const GemmVariant variants[] = {
+        {"plain"},
+        {"scale+mask", 0.125, true},
+        {"bias+gelu", 1.0, false, true, true},
+        {"scale+mask+ls", 0.125, true, false, false, true},
+        {"gs+ls", 1.0, false, false, false, true, true},
+    };
+    constexpr int64_t kGsSub = 5;
+    uint64_t seed = 500;
+    for (const int64_t m : {1, 3, 4, 5, 17, 64})
+    for (const int64_t tile_n : {8, 12, 16, 64})
+    for (const int64_t k : {1, 7, 64, 1031})
+    for (const bool transpose_b : {false, true})
+    for (const GemmVariant &v : variants) {
+        SCOPED_TRACE(std::string(v.name) + " m=" + std::to_string(m) +
+                     " tileN=" + std::to_string(tile_n) +
+                     " k=" + std::to_string(k) +
+                     " transposeB=" + std::to_string(transpose_b));
+        GemmDesc desc;
+        desc.m = m;
+        desc.n = 2 * tile_n + 5;
+        desc.k = k;
+        desc.tiling.tileM = 16;
+        desc.tiling.tileN = tile_n;
+        desc.epilogue.scale = v.scale;
+        desc.epilogue.causalMask = v.causalMask;
+        desc.epilogue.bias = v.bias;
+        desc.epilogue.gelu = v.gelu;
+        desc.epilogue.localSoftmax = v.localSoftmax;
+        desc.prologue.globalScale = v.globalScale;
+        desc.prologue.gsSubVector = kGsSub;
+
+        Rng rng(seed++);
+        Tensor<Half> a(Shape({m, k}));
+        Tensor<Half> b(transpose_b ? Shape({desc.n, k})
+                                   : Shape({k, desc.n}));
+        Tensor<float> bias(Shape({desc.n}));
+        Tensor<float> gs(Shape({m, (k + kGsSub - 1) / kGsSub}));
+        fillNormal(a, rng, 0.0, 0.5);
+        fillNormal(b, rng, 0.0, 0.5);
+        fillNormal(bias, rng, 0.0, 0.5);
+        fillNormal(gs, rng, 1.0, 0.25);
+        GemmOperands ops;
+        ops.a = &a;
+        ops.b = &b;
+        ops.transposeB = transpose_b;
+        ops.bias = &bias;
+        ops.gsFactors = &gs;
+
+        const GemmBits want = scalarGemmBits(desc, ops);
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            expectBitExact(desc, ops, want, backend);
+            if (HasFatalFailure())
+                return;
+        }
+    }
 }
 
 // --- Determinism across thread counts ------------------------------

@@ -18,9 +18,10 @@ Checked invariants:
                   finite floats.
   kernels         array of rows, each with exactly the keys
                   {name, ms, bytes_read, bytes_written, calls,
-                  threads}; name non-empty and unique; ms a finite
-                  float >= 0; bytes/calls non-negative integers;
-                  threads an integer >= 1.
+                  threads} plus optionally gflops; name non-empty and
+                  unique; ms a finite float >= 0; bytes/calls
+                  non-negative integers; threads an integer >= 1;
+                  gflops a finite number >= 0.
   derived         object; values are finite floats.
   JSON text       must not contain NaN/Infinity tokens (the emitter
                   writes null for non-finite values; Python's json
@@ -42,6 +43,7 @@ SCHEMA = "softrec-bench-v1"
 TOP_KEYS = {"schema", "name", "config", "kernels", "derived"}
 ROW_KEYS = {"name", "ms", "bytes_read", "bytes_written", "calls",
             "threads"}
+OPTIONAL_ROW_KEYS = {"gflops"}
 
 
 def is_int(value):
@@ -106,7 +108,7 @@ def validate_text(path, text):
             bad("%s must be an object" % where)
             continue
         missing = ROW_KEYS - row.keys()
-        extra = row.keys() - ROW_KEYS
+        extra = row.keys() - ROW_KEYS - OPTIONAL_ROW_KEYS
         if missing:
             bad("%s missing keys: %s" %
                 (where, ", ".join(sorted(missing))))
@@ -130,6 +132,9 @@ def validate_text(path, text):
         if "threads" in row and (not is_int(row["threads"]) or
                                  row["threads"] < 1):
             bad("%s threads must be an integer >= 1" % where)
+        if "gflops" in row and (not is_finite_number(row["gflops"]) or
+                                row["gflops"] < 0):
+            bad("%s gflops must be a finite number >= 0" % where)
 
     derived = doc.get("derived", {})
     if not isinstance(derived, dict):
@@ -159,6 +164,8 @@ GOOD_FIXTURE = """{
   "kernels": [
     {"name": "softmax.row", "ms": 1.5, "bytes_read": 1024,
      "bytes_written": 1024, "calls": 2, "threads": 4},
+    {"name": "sda.av", "ms": 2, "bytes_read": 1024,
+     "bytes_written": 1024, "calls": 2, "threads": 4, "gflops": 12.5},
     {"name": "sda.qk", "ms": 0, "bytes_read": 0,
      "bytes_written": 0, "calls": 1, "threads": 1}
   ],
@@ -190,6 +197,14 @@ BAD_FIXTURES = [
      '"kernels": [{"name": "k", "ms": 1, "bytes_read": 0, '
      '"bytes_written": 0, "calls": 1, "threads": 0}], "derived": {}}',
      "threads must be"),
+    ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
+     '"kernels": [{"name": "k", "ms": 1, "bytes_read": 0, '
+     '"bytes_written": 0, "calls": 1, "threads": 1, "gflops": -2}], '
+     '"derived": {}}', "gflops must be"),
+    ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
+     '"kernels": [{"name": "k", "ms": 1, "bytes_read": 0, '
+     '"bytes_written": 0, "calls": 1, "threads": 1, "gflops": null}], '
+     '"derived": {}}', "gflops must be"),
     ('{"schema": "softrec-bench-v1", "name": "x", "config": {}, '
      '"kernels": [{"name": "k", "ms": 1, "bytes_read": 0, '
      '"bytes_written": 0, "calls": 1, "threads": 1}, {"name": "k", '
