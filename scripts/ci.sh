@@ -25,7 +25,9 @@
 #      test_admission races concurrent reserves; test_serve_engine
 #      drives the async engine's producer/consumer threads;
 #      test_streaming_attention runs the tiled kernel's strips;
-#      test_gemm and test_simd_kernels run the packed GEMM's strips)
+#      test_gemm and test_simd_kernels run the packed GEMM's strips;
+#      test_decode and test_prefill_chunk run the parallel
+#      per-(row, head) attention loop of decode and chunked prefill)
 #   8. bench smoke: micro_kernels, micro_simd, micro_streaming,
 #      serve_throughput, and the serve_load admission-regime trace at
 #      a CI-sized sequence length; SOFTREC_BENCH_DIR routes every
@@ -139,10 +141,11 @@ cmake --build build/tsan -j "${JOBS}" --target \
     test_exec_context test_parallel_determinism \
     test_attention_exec test_functional_layer test_profiler \
     test_serve test_admission test_serve_engine \
-    test_streaming_attention test_gemm test_simd_kernels
+    test_streaming_attention test_gemm test_simd_kernels \
+    test_decode test_prefill_chunk
 SOFTREC_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build/tsan --output-on-failure -j "${JOBS}" \
-    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention|test_gemm|test_simd_kernels'
+    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention|test_gemm|test_simd_kernels|test_decode|test_prefill_chunk'
 
 # Smoke reports land in the build tree; clear stale ones so the
 # existence check below sees only this run's output.

@@ -11,7 +11,6 @@
 
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
-#include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
 
 namespace softrec {
@@ -162,40 +161,6 @@ biasActProfile(const GpuSpec &spec, const std::string &name,
     prof.cudaFlops = (gelu ? 9.0 : 1.0) * double(elems);
     prof.sfuOps = gelu ? double(elems) : 0.0;
     return prof;
-}
-
-void
-biasActRun(const ExecContext &ctx, const Tensor<Half> &in,
-           const Tensor<float> &bias, bool gelu, Tensor<Half> &out)
-{
-    SOFTREC_ASSERT(in.shape().rank() == 2 && in.shape() == out.shape(),
-                   "bias kernel shapes inconsistent");
-    const int64_t rows = in.shape().dim(0);
-    const int64_t width = in.shape().dim(1);
-    SOFTREC_ASSERT(bias.shape() == Shape({width}), "bias misshaped");
-    prof::Scope scope(ctx, "ew.bias_act");
-    if (scope.active())
-        scope.addRead(uint64_t(width) * kFp32Bytes); // bias vector
-    parallelFor(ctx, 0, rows, 8, [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t bytes =
-                uint64_t(row1 - row0) * uint64_t(width) * kFp16Bytes;
-            scope.addRead(bytes);
-            scope.addWrite(bytes);
-        }
-        std::vector<float> row(size_t(width), 0.0f);
-        const float *b = bias.data();
-        for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), width);
-            for (int64_t j = 0; j < width; ++j) {
-                float v = row[size_t(j)] + b[j];
-                if (gelu)
-                    v = geluApprox(v);
-                row[size_t(j)] = v;
-            }
-            floatToHalf(row.data(), out.rowPtr(i), width);
-        }
-    });
 }
 
 KernelProfile

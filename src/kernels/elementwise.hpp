@@ -40,11 +40,6 @@ void residualAddRun(const ExecContext &ctx, const Tensor<Half> &a,
 KernelProfile biasActProfile(const GpuSpec &spec, const std::string &name,
                              int64_t rows, int64_t width, bool gelu);
 
-/** Functional bias + optional GeLU (row-parallel). */
-void biasActRun(const ExecContext &ctx, const Tensor<Half> &in,
-                const Tensor<float> &bias, bool gelu,
-                Tensor<Half> &out);
-
 /**
  * Standalone scale and/or mask pass over the attention matrix — what
  * an unfused library (HuggingFace eager mode) launches between the

@@ -134,59 +134,6 @@ onlineRowSoftmaxProfile(const GpuSpec &spec, const SoftmaxShape &desc)
     return prof;
 }
 
-void
-onlineRowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
-                    const Tensor<Half> &in, Tensor<Half> &out)
-{
-    SOFTREC_ASSERT(desc.batch == 1,
-                   "functional softmax handles one matrix; loop outside");
-    const Shape expect({desc.rows, desc.cols});
-    SOFTREC_ASSERT(in.shape() == expect && out.shape() == expect,
-                   "softmax shapes must be [rows, cols]");
-    if constexpr (kCheckedBuild)
-        checkFinite(in, "onlineRowSoftmax input", /*allow_neg_inf=*/true);
-    prof::Scope scope(ctx, "softmax.online");
-    parallelFor(ctx, 0, desc.rows, kRowGrain,
-                [&](int64_t row0, int64_t row1) {
-        if (scope.active()) {
-            const uint64_t matrix =
-                uint64_t(row1 - row0) * uint64_t(desc.cols) * kFp16Bytes;
-            scope.addRead(matrix);
-            scope.addWrite(matrix);
-        }
-        std::vector<float> row(size_t(desc.cols));
-        for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            // Single online pass: running max and rescaled normalizer.
-            float running_max = kNegInf;
-            float running_sum = 0.0f;
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                const float x = row[size_t(j)];
-                const float new_max = std::max(running_max, x);
-                if (new_max == kNegInf)
-                    continue;
-                running_sum =
-                    running_sum *
-                        (running_max == kNegInf
-                             ? 0.0f
-                             : std::exp(running_max - new_max)) +
-                    std::exp(x - new_max);
-                running_max = new_max;
-            }
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                const float e = running_max == kNegInf
-                    ? 0.0f
-                    : std::exp(row[size_t(j)] - running_max);
-                row[size_t(j)] =
-                    running_sum > 0.0f ? e / running_sum : 0.0f;
-            }
-            floatToHalf(row.data(), out.rowPtr(i), desc.cols);
-        }
-    });
-    if constexpr (kCheckedBuild)
-        checkRowSumsNearOne(out, "onlineRowSoftmax output");
-}
-
 KernelProfile
 lsProfile(const GpuSpec &spec, const SoftmaxShape &desc)
 {

@@ -29,7 +29,7 @@ namespace softrec {
 
 /**
  * Problem shape shared by all dense softmax kernels. The whole-row
- * kernels (rowSoftmax*, onlineRowSoftmax*) ignore subVector; the
+ * kernels (rowSoftmax*, onlineRowSoftmaxProfile) ignore subVector; the
  * decomposed LS/IR/GS kernels require it > 0.
  */
 struct SoftmaxShape
@@ -62,11 +62,6 @@ void rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
  */
 KernelProfile onlineRowSoftmaxProfile(const GpuSpec &spec,
                                       const SoftmaxShape &desc);
-
-/** Functional online-normalizer softmax along rows. */
-void onlineRowSoftmaxRun(const ExecContext &ctx,
-                         const SoftmaxShape &desc,
-                         const Tensor<Half> &in, Tensor<Half> &out);
 
 /** LS kernel profile: square tiles of sub-vectors per TB. */
 KernelProfile lsProfile(const GpuSpec &spec, const SoftmaxShape &desc);

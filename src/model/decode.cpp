@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
@@ -149,6 +150,56 @@ checkFunctionalStack(const DecoderStack &stack)
                    "heads must divide dModel");
 }
 
+/** The cached K and V rows one query row attends over. */
+struct KvViews
+{
+    KvRowsView k, v;
+};
+
+/**
+ * The attention step of chunked prefill and decode: row r of ws.q
+ * attends, head by head, over the K/V rows `views(r)` returns,
+ * through the decode kernel of the stack's attention backend.
+ */
+template <typename RowViews>
+void
+attendRows(const ExecContext &ctx, const FunctionalLayerConfig &config,
+           DecodeStepWorkspace &ws, const RowViews &views)
+{
+    const int64_t rows = ws.q.shape().dim(0);
+    const int64_t heads = config.numHeads;
+    const int64_t dh = config.dHead();
+    DecodeAttendDesc attend;
+    attend.dHead = dh;
+    attend.scale = 1.0 / std::sqrt(double(dh));
+    // The streaming variant is bit-identical to streaming-prefill
+    // rows, so the KV-equivalence contract holds per backend.
+    const auto attend_row =
+        config.attention == AttentionBackend::Streaming
+            ? decodeAttendStreamRun
+            : decodeAttendRun;
+
+    // (row, head) attention problems are independent, writing
+    // disjoint output slices; grain 1 mirrors the encoder layer's
+    // per-head parallelism. Staging buffers come from the
+    // per-worker-slot pool: chunks on the same worker run
+    // sequentially, so the slot's workspace is never shared, and its
+    // contents are dead between calls.
+    parallelFor(ctx, 0, rows * heads, 1, [&](int64_t i0, int64_t i1) {
+        DecodeAttendWorkspace &attend_ws =
+            ws.attend[size_t(currentThreadSlot())];
+        for (int64_t i = i0; i < i1; ++i) {
+            const int64_t r = i / heads;
+            const int64_t h = i % heads;
+            DecodeAttendDesc head = attend;
+            head.headOffset = h * dh;
+            const KvViews kv = views(r);
+            attend_row(ctx, head, ws.q.rowPtr(r) + h * dh, kv.k, kv.v,
+                       ws.attention.rowPtr(r) + h * dh, &attend_ws);
+        }
+    });
+}
+
 } // namespace
 
 DecoderStack
@@ -186,12 +237,21 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
     prof::Scope scope(ctx, "decode.prefill");
     Tensor<Half> x = prompt;
     for (size_t l = 0; l < stack.layers.size(); ++l) {
-        KvProjections kv;
-        x = runEncoderLayer(ctx, stack.config, stack.layers[l], x,
-                            &kv);
+        // Free the layer's buffers before the cache appends: cache
+        // blocks allocated while they are live sit above them in the
+        // heap and keep the allocator from returning them, which
+        // raises a long prompt's peak RSS.
+        Tensor<Half> k, v;
+        {
+            LayerWorkspace ws;
+            ws.x = std::move(x);
+            runEncoderLayerInto(ctx, stack.config, stack.layers[l], ws);
+            x = std::move(ws.x);
+            k = std::move(ws.k);
+            v = std::move(ws.v);
+        }
         for (int64_t i = 0; i < tokens; ++i)
-            cache.appendRow(int64_t(l), kv.k.rowPtr(i),
-                            kv.v.rowPtr(i));
+            cache.appendRow(int64_t(l), k.rowPtr(i), v.rowPtr(i));
     }
     return x;
 }
@@ -226,13 +286,16 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
 {
     checkFunctionalStack(stack);
     const int64_t dm = stack.config.dModel;
-    const int64_t heads = stack.config.numHeads;
-    const int64_t dh = stack.config.dHead();
     SOFTREC_ASSERT(prompt.shape().rank() == 2 &&
                        prompt.shape().dim(0) == state.promptTokens &&
                        prompt.shape().dim(1) == dm,
                    "prompt must be [promptTokens, dModel] and match "
                    "the prepared state");
+    SOFTREC_ASSERT(state.k.size() == stack.layers.size() &&
+                       state.k[0].shape().dim(1) == dm,
+                   "prefill state must be prepared for this stack "
+                   "(%lld layers of width %lld)",
+                   (long long)stack.layers.size(), (long long)dm);
     SOFTREC_ASSERT(rows >= 1 &&
                        state.rowsDone + rows <= state.promptTokens,
                    "chunk of %lld rows does not fit: %lld of %lld "
@@ -247,83 +310,34 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
                    (long long)state.rowsDone);
 
     prof::Scope scope(ctx, "decode.prefill");
-    DecodeAttendDesc attend;
-    attend.dHead = dh;
-    attend.scale = 1.0 / std::sqrt(double(dh));
-    const bool streaming =
-        stack.config.attention == AttentionBackend::Streaming;
     const int64_t c0 = state.rowsDone;
-
     ws.prepare(stack, rows);
     std::copy(prompt.rowPtr(c0), prompt.rowPtr(c0) + rows * dm,
               ws.x.data());
-    Tensor<Half> &x = ws.x;
     for (size_t l = 0; l < stack.layers.size(); ++l) {
-        const EncoderLayerWeights &w = stack.layers[l];
-
-        projectRowsInto(ctx, "fc.q", x, w.wq, w.bq, false, ws.q);
-        projectRowsInto(ctx, "fc.k", x, w.wk, w.bk, false, ws.k);
-        projectRowsInto(ctx, "fc.v", x, w.wv, w.bv, false, ws.v);
-        // Stage the exact fp16 rows for this chunk's attention reads
-        // and append the same rows to the cache, row-ascending — the
-        // order the one-shot prefill appends in, so a quantized
-        // cache makes identical per-block decisions.
-        std::copy(ws.k.data(), ws.k.data() + rows * dm,
-                  state.k[l].rowPtr(c0));
-        std::copy(ws.v.data(), ws.v.data() + rows * dm,
-                  state.v[l].rowPtr(c0));
-        for (int64_t r = 0; r < rows; ++r)
-            cache.appendRow(int64_t(l), ws.k.rowPtr(r),
-                            ws.v.rowPtr(r));
-
-        // (row, head) attention problems are independent, exactly as
-        // in runDecodeStepInto; each row attends causally over the
-        // exact staged prefix [0, c0 + r].
-        parallelFor(ctx, 0, rows * heads, 1,
-                    [&](int64_t i0, int64_t i1) {
-            DecodeAttendWorkspace &attend_ws =
-                ws.attend[size_t(currentThreadSlot())];
-            for (int64_t i = i0; i < i1; ++i) {
-                const int64_t r = i / heads;
-                const int64_t h = i % heads;
-                DecodeAttendDesc head = attend;
-                head.headOffset = h * dh;
-                const int64_t context = c0 + r + 1;
-                const KvRowsView k_view = contiguousKvView(
-                    &state.kBlock[l], state.promptTokens, dm,
-                    context);
-                const KvRowsView v_view = contiguousKvView(
-                    &state.vBlock[l], state.promptTokens, dm,
-                    context);
-                if (streaming) {
-                    decodeAttendStreamRun(ctx, head,
-                                          ws.q.rowPtr(r) + h * dh,
-                                          k_view, v_view,
-                                          ws.attention.rowPtr(r) +
-                                              h * dh,
-                                          &attend_ws);
-                } else {
-                    decodeAttendRun(ctx, head,
-                                    ws.q.rowPtr(r) + h * dh, k_view,
-                                    v_view,
-                                    ws.attention.rowPtr(r) + h * dh,
-                                    &attend_ws);
-                }
-            }
+        runLayer(ctx, stack.layers[l], ws, [&] {
+            // Stage the exact fp16 rows for this chunk's attention
+            // reads and append the same rows to the cache,
+            // row-ascending — the order the one-shot prefill appends
+            // in, so a quantized cache makes identical per-block
+            // decisions.
+            std::copy(ws.k.data(), ws.k.data() + rows * dm,
+                      state.k[l].rowPtr(c0));
+            std::copy(ws.v.data(), ws.v.data() + rows * dm,
+                      state.v[l].rowPtr(c0));
+            for (int64_t r = 0; r < rows; ++r)
+                cache.appendRow(int64_t(l), ws.k.rowPtr(r),
+                                ws.v.rowPtr(r));
+            // Each row attends causally over the exact staged prefix
+            // [0, c0 + r].
+            attendRows(ctx, stack.config, ws, [&](int64_t r) {
+                return KvViews{
+                    contiguousKvView(&state.kBlock[l], state.promptTokens,
+                                     dm, c0 + r + 1),
+                    contiguousKvView(&state.vBlock[l], state.promptTokens,
+                                     dm, c0 + r + 1)};
+            });
         });
-
-        projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo,
-                        false, ws.projected);
-        residualAddRun(ctx, x, ws.projected, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma1, w.beta1, ws.hidden);
-
-        projectRowsInto(ctx, "ff.1", ws.hidden, w.w1, w.b1,
-                        /*gelu=*/true, ws.ff1);
-        projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false,
-                        ws.ff2);
-        residualAddRun(ctx, ws.hidden, ws.ff2, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma2, w.beta2, ws.out);
-        std::swap(ws.x, ws.out);
     }
     state.rowsDone += rows;
     std::swap(outputs, ws.x);
@@ -332,19 +346,8 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
 void
 DecodeStepWorkspace::prepare(const DecoderStack &stack, int64_t rows)
 {
-    const int64_t dm = stack.config.dModel;
-    const Shape rd({rows, dm});
-    x.resize(rd);
-    q.resize(rd);
-    k.resize(rd);
-    v.resize(rd);
-    attention.resize(rd);
-    projected.resize(rd);
-    postAttn.resize(rd);
-    hidden.resize(rd);
-    ff1.resize(Shape({rows, stack.config.dFf}));
-    ff2.resize(rd);
-    out.resize(rd);
+    prepareAttention(rows, stack.config.dModel);
+    prepareFeedForward(rows, stack.config.dModel, stack.config.dFf);
     if (int64_t(attend.size()) < int64_t(maxThreadSlots()))
         attend.resize(size_t(maxThreadSlots()));
 }
@@ -357,11 +360,9 @@ runDecodeStepInto(const ExecContext &ctx, const DecoderStack &stack,
 {
     checkFunctionalStack(stack);
     const int64_t rows = inputs.shape().dim(0);
-    const int64_t dm = stack.config.dModel;
-    const int64_t heads = stack.config.numHeads;
-    const int64_t dh = stack.config.dHead();
     SOFTREC_ASSERT(inputs.shape().rank() == 2 &&
-                   inputs.shape().dim(1) == dm && rows >= 1,
+                   inputs.shape().dim(1) == stack.config.dModel &&
+                   rows >= 1,
                    "decode inputs must be [R, dModel]");
     SOFTREC_ASSERT(int64_t(caches.size()) == rows,
                    "one KvCache per batch row (%lld != %lld)",
@@ -374,79 +375,20 @@ runDecodeStepInto(const ExecContext &ctx, const DecoderStack &stack,
                        "decode needs prefilled caches");
 
     prof::Scope scope(ctx, "decode.step");
-    DecodeAttendDesc attend;
-    attend.dHead = dh;
-    attend.scale = 1.0 / std::sqrt(double(dh));
-    const bool streaming =
-        stack.config.attention == AttentionBackend::Streaming;
-
     ws.prepare(stack, rows);
     std::copy(inputs.data(), inputs.data() + inputs.numel(),
               ws.x.data());
-    Tensor<Half> &x = ws.x;
     for (size_t l = 0; l < stack.layers.size(); ++l) {
-        const EncoderLayerWeights &w = stack.layers[l];
-
-        // Batched projections: the packed GEMM computes each output
-        // row independently, so these match single-request runs bit
-        // for bit (and the prefill's projections of the same rows).
-        projectRowsInto(ctx, "fc.q", x, w.wq, w.bq, false, ws.q);
-        projectRowsInto(ctx, "fc.k", x, w.wk, w.bk, false, ws.k);
-        projectRowsInto(ctx, "fc.v", x, w.wv, w.bv, false, ws.v);
-        for (int64_t r = 0; r < rows; ++r)
-            caches[size_t(r)]->appendRow(int64_t(l), ws.k.rowPtr(r),
-                                         ws.v.rowPtr(r));
-
-        // (request, head) attention rows are independent problems
-        // writing disjoint output slices; grain 1 mirrors the
-        // encoder layer's per-head parallelism. Staging buffers come
-        // from the per-worker-slot pool: chunks on the same worker
-        // run sequentially, so the slot's workspace is never shared,
-        // and its contents are dead between calls.
-        parallelFor(ctx, 0, rows * heads, 1,
-                    [&](int64_t i0, int64_t i1) {
-            DecodeAttendWorkspace &attend_ws =
-                ws.attend[size_t(currentThreadSlot())];
-            for (int64_t i = i0; i < i1; ++i) {
-                const int64_t r = i / heads;
-                const int64_t h = i % heads;
-                DecodeAttendDesc head = attend;
-                head.headOffset = h * dh;
+        runLayer(ctx, stack.layers[l], ws, [&] {
+            for (int64_t r = 0; r < rows; ++r)
+                caches[size_t(r)]->appendRow(int64_t(l), ws.k.rowPtr(r),
+                                             ws.v.rowPtr(r));
+            attendRows(ctx, stack.config, ws, [&](int64_t r) {
                 const KvCache &cache = *caches[size_t(r)];
-                // Backend dispatch: the streaming variant is
-                // bit-identical to streaming-prefill rows, so the
-                // KV-equivalence contract holds per backend.
-                if (streaming) {
-                    decodeAttendStreamRun(ctx, head,
-                                          ws.q.rowPtr(r) + h * dh,
-                                          cache.kView(int64_t(l)),
-                                          cache.vView(int64_t(l)),
-                                          ws.attention.rowPtr(r) +
-                                              h * dh,
-                                          &attend_ws);
-                } else {
-                    decodeAttendRun(ctx, head,
-                                    ws.q.rowPtr(r) + h * dh,
-                                    cache.kView(int64_t(l)),
-                                    cache.vView(int64_t(l)),
-                                    ws.attention.rowPtr(r) + h * dh,
-                                    &attend_ws);
-                }
-            }
+                return KvViews{cache.kView(int64_t(l)),
+                               cache.vView(int64_t(l))};
+            });
         });
-
-        projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo,
-                        false, ws.projected);
-        residualAddRun(ctx, x, ws.projected, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma1, w.beta1, ws.hidden);
-
-        projectRowsInto(ctx, "ff.1", ws.hidden, w.w1, w.b1,
-                        /*gelu=*/true, ws.ff1);
-        projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false,
-                        ws.ff2);
-        residualAddRun(ctx, ws.hidden, ws.ff2, ws.postAttn);
-        layerNormRun(ctx, ws.postAttn, w.gamma2, w.beta2, ws.out);
-        std::swap(ws.x, ws.out);
     }
     // Hand the result storage to the caller and keep its old buffer
     // as next step's scratch — no copy, no allocation.

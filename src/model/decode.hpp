@@ -152,24 +152,15 @@ struct PrefillState
 };
 
 /**
- * Step-lifetime buffers for runDecodeStepInto: every intermediate a
- * decode step produces (projections, attention output, residual and
- * LayerNorm results) plus one DecodeAttendWorkspace per worker slot.
- * A serving loop keeps one of these across its whole drain; after the
- * buffers reach their high-water shape (max batch rows, max context),
- * stepping allocates nothing.
+ * Step-lifetime buffers for chunked runPrefill and runDecodeStepInto:
+ * the shared layer body's buffers plus one DecodeAttendWorkspace per
+ * worker slot for the per-(row, head) attention. A serving loop keeps
+ * one of these across its whole drain; after the buffers reach their
+ * high-water shape (max batch rows, max context), stepping allocates
+ * nothing.
  */
-struct DecodeStepWorkspace
+struct DecodeStepWorkspace : LayerWorkspace
 {
-    Tensor<Half> x;         //!< layer input/output, [R, dModel]
-    Tensor<Half> q, k, v;   //!< projections, [R, dModel]
-    Tensor<Half> attention; //!< concatenated head outputs
-    Tensor<Half> projected; //!< fc.out result
-    Tensor<Half> postAttn;  //!< x + attention
-    Tensor<Half> hidden;    //!< post-attention LayerNorm
-    Tensor<Half> ff1;       //!< [R, dFf]
-    Tensor<Half> ff2;       //!< [R, dModel]
-    Tensor<Half> out;       //!< post-FF LayerNorm
     //! One attention staging workspace per worker slot, indexed by
     //! ExecContext::currentThreadSlot() inside the head loop.
     std::vector<DecodeAttendWorkspace> attend;
@@ -196,8 +187,10 @@ struct DecodeStepWorkspace
  * layer, the same order as the one-shot path, so the stored blocks
  * (and their quantization headers) match bit for bit as well.
  *
- * @param rows chunk size; 1 <= rows <= promptTokens - rowsDone
- * @param ws   step buffers reused across chunks and decode steps
+ * @param rows  chunk size; 1 <= rows <= promptTokens - rowsDone
+ * @param state prepared for this stack: one staging per layer, each
+ *              dModel wide (asserted)
+ * @param ws    step buffers reused across chunks and decode steps
  */
 void runPrefill(const ExecContext &ctx, const DecoderStack &stack,
                 const Tensor<Half> &prompt, int64_t rows,

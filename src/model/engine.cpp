@@ -5,8 +5,6 @@
 
 #include "model/engine.hpp"
 
-#include "common/profiler.hpp"
-
 namespace softrec {
 
 double
@@ -70,26 +68,6 @@ runInference(const GpuSpec &spec, const ModelConfig &model,
     result.categories = gpu.byCategory();
     result.attentionSweeps = scheduler.sdaSchedule().attentionSweeps;
     return result;
-}
-
-std::vector<InferenceResult>
-runInferenceSweep(const ExecContext &ctx, const GpuSpec &spec,
-                  const ModelConfig &model,
-                  const std::vector<RunConfig> &runs)
-{
-    // Time-only summary scope (the sweep is analytical — no tensor
-    // traffic to count).
-    prof::Scope scope(ctx, "sweep.inference");
-    // Each run simulates independently and writes only its own slot;
-    // ordering of the result vector never depends on thread count.
-    std::vector<InferenceResult> results(runs.size());
-    parallelFor(ctx, 0, int64_t(runs.size()), 1,
-                [&](int64_t run0, int64_t run1) {
-        for (int64_t r = run0; r < run1; ++r)
-            results[size_t(r)] = runInference(spec, model,
-                                              runs[size_t(r)]);
-    });
-    return results;
 }
 
 } // namespace softrec

@@ -10,9 +10,7 @@
 
 #include <map>
 #include <string>
-#include <vector>
 
-#include "common/exec_context.hpp"
 #include "model/schedule.hpp"
 
 namespace softrec {
@@ -64,16 +62,6 @@ struct InferenceResult
 InferenceResult runInference(const GpuSpec &spec,
                              const ModelConfig &model,
                              const RunConfig &run);
-
-/**
- * Run many inference configurations (a sweep) under the context,
- * parallel across runs. Results are index-aligned with @p runs, and
- * each is identical to a serial runInference of the same entry.
- */
-std::vector<InferenceResult>
-runInferenceSweep(const ExecContext &ctx, const GpuSpec &spec,
-                  const ModelConfig &model,
-                  const std::vector<RunConfig> &runs);
 
 } // namespace softrec
 

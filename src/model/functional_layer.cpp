@@ -5,7 +5,9 @@
 
 #include "model/functional_layer.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
@@ -98,6 +100,15 @@ projectRows(const ExecContext &ctx, const char *name,
 
 namespace {
 
+/** Give `t` the shape [rows, cols], keeping it when it already has it. */
+void
+shapeAs(Tensor<Half> &t, int64_t rows, int64_t cols)
+{
+    const Shape &s = t.shape();
+    if (s.rank() != 2 || s.dim(0) != rows || s.dim(1) != cols)
+        t.resize(Shape({rows, cols}));
+}
+
 /** Copy head columns [h*dh, (h+1)*dh) into an [L, dh] tensor. */
 Tensor<Half>
 sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
@@ -105,43 +116,18 @@ sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
     const int64_t rows = x.shape().dim(0);
     Tensor<Half> out(Shape({rows, d_head}));
     for (int64_t i = 0; i < rows; ++i)
-        for (int64_t j = 0; j < d_head; ++j)
-            out.at(i, j) = x.at(i, head * d_head + j);
+        std::copy(x.rowPtr(i) + head * d_head,
+                  x.rowPtr(i) + (head + 1) * d_head, out.rowPtr(i));
     return out;
 }
 
-} // namespace
-
-Tensor<Half>
-runEncoderLayer(const ExecContext &ctx,
-                const FunctionalLayerConfig &config,
-                const EncoderLayerWeights &weights,
-                const Tensor<Half> &input, KvProjections *kv_capture)
+/** Batched multi-head attention of ws.q/k/v into ws.attention. */
+void
+attendHeads(const ExecContext &ctx, const FunctionalLayerConfig &config,
+            LayerWorkspace &ws)
 {
-    SOFTREC_ASSERT(input.shape().rank() == 2 &&
-                   input.shape().dim(1) == config.dModel,
-                   "input must be [L, dModel]");
-    SOFTREC_ASSERT(config.dModel % config.numHeads == 0,
-                   "heads must divide dModel");
-    const int64_t rows = input.shape().dim(0);
+    const int64_t rows = ws.q.shape().dim(0);
     const int64_t dh = config.dHead();
-
-    // Time-only summary scope around the whole layer.
-    prof::Scope scope(ctx, "layer.encoder");
-
-    // QKV projections.
-    const Tensor<Half> q =
-        projectRows(ctx, "fc.q", input, weights.wq, weights.bq);
-    const Tensor<Half> k =
-        projectRows(ctx, "fc.k", input, weights.wk, weights.bk);
-    const Tensor<Half> v =
-        projectRows(ctx, "fc.v", input, weights.wv, weights.bv);
-    if (kv_capture != nullptr) {
-        kv_capture->k = k;
-        kv_capture->v = v;
-    }
-
-    // Multi-head attention under the configured strategy.
     SdaConfig sda;
     sda.seqLen = rows;
     sda.dHead = dh;
@@ -156,41 +142,95 @@ runEncoderLayer(const ExecContext &ctx,
     // kernels inside each head then run inline (nested regions
     // degrade to serial), keeping the math order head-local and the
     // result bit-identical for any thread count.
-    Tensor<Half> attention(Shape({rows, config.dModel}));
     parallelFor(ctx, 0, config.numHeads, 1,
                 [&](int64_t head0, int64_t head1) {
         for (int64_t head = head0; head < head1; ++head) {
-            AttentionInputs head_inputs{sliceHead(q, head, dh),
-                                        sliceHead(k, head, dh),
-                                        sliceHead(v, head, dh)};
+            AttentionInputs head_inputs{sliceHead(ws.q, head, dh),
+                                        sliceHead(ws.k, head, dh),
+                                        sliceHead(ws.v, head, dh)};
             const Tensor<Half> head_out =
                 runAttention(ctx, sda, head_inputs, config.strategy);
             for (int64_t i = 0; i < rows; ++i)
-                for (int64_t j = 0; j < dh; ++j)
-                    attention.at(i, head * dh + j) = head_out.at(i, j);
+                std::copy(head_out.rowPtr(i), head_out.rowPtr(i) + dh,
+                          ws.attention.rowPtr(i) + head * dh);
         }
     });
+}
+
+} // namespace
+
+void
+LayerWorkspace::prepareAttention(int64_t rows, int64_t d_model)
+{
+    for (Tensor<Half> *t : {&x, &q, &k, &v, &attention})
+        shapeAs(*t, rows, d_model);
+}
+
+void
+LayerWorkspace::prepareFeedForward(int64_t rows, int64_t d_model,
+                                   int64_t d_ff)
+{
+    for (Tensor<Half> *t : {&projected, &postAttn, &hidden, &ff2, &out})
+        shapeAs(*t, rows, d_model);
+    shapeAs(ff1, rows, d_ff);
+}
+
+void
+runLayer(const ExecContext &ctx, const EncoderLayerWeights &w,
+         LayerWorkspace &ws, const std::function<void()> &attend)
+{
+    const int64_t rows = ws.x.shape().dim(0);
+    const int64_t dm = ws.x.shape().dim(1);
+
+    // QKV projections.
+    ws.prepareAttention(rows, dm);
+    projectRowsInto(ctx, "fc.q", ws.x, w.wq, w.bq, false, ws.q);
+    projectRowsInto(ctx, "fc.k", ws.x, w.wk, w.bk, false, ws.k);
+    projectRowsInto(ctx, "fc.v", ws.x, w.wv, w.bv, false, ws.v);
+
+    attend();
 
     // Output projection, residual, LayerNorm.
-    const Tensor<Half> projected =
-        projectRows(ctx, "fc.out", attention, weights.wo, weights.bo);
-    Tensor<Half> post_attn(input.shape());
-    residualAddRun(ctx, input, projected, post_attn);
-    Tensor<Half> hidden(input.shape());
-    layerNormRun(ctx, post_attn, weights.gamma1, weights.beta1,
-                 hidden);
+    ws.prepareFeedForward(rows, dm, w.w1.shape().dim(1));
+    projectRowsInto(ctx, "fc.out", ws.attention, w.wo, w.bo, false,
+                    ws.projected);
+    residualAddRun(ctx, ws.x, ws.projected, ws.postAttn);
+    layerNormRun(ctx, ws.postAttn, w.gamma1, w.beta1, ws.hidden);
 
     // FeedForward, residual, LayerNorm.
-    const Tensor<Half> ff1 = projectRows(ctx, "ff.1", hidden,
-                                         weights.w1, weights.b1,
-                                         /*gelu=*/true);
-    const Tensor<Half> ff2 =
-        projectRows(ctx, "ff.2", ff1, weights.w2, weights.b2);
-    Tensor<Half> post_ff(input.shape());
-    residualAddRun(ctx, hidden, ff2, post_ff);
-    Tensor<Half> out(input.shape());
-    layerNormRun(ctx, post_ff, weights.gamma2, weights.beta2, out);
-    return out;
+    projectRowsInto(ctx, "ff.1", ws.hidden, w.w1, w.b1, /*gelu=*/true,
+                    ws.ff1);
+    projectRowsInto(ctx, "ff.2", ws.ff1, w.w2, w.b2, false, ws.ff2);
+    residualAddRun(ctx, ws.hidden, ws.ff2, ws.postAttn);
+    layerNormRun(ctx, ws.postAttn, w.gamma2, w.beta2, ws.out);
+    std::swap(ws.x, ws.out);
+}
+
+void
+runEncoderLayerInto(const ExecContext &ctx,
+                    const FunctionalLayerConfig &config,
+                    const EncoderLayerWeights &weights, LayerWorkspace &ws)
+{
+    SOFTREC_ASSERT(config.dModel % config.numHeads == 0,
+                   "heads must divide dModel");
+    // Time-only summary scope around the whole layer.
+    prof::Scope scope(ctx, "layer.encoder");
+    runLayer(ctx, weights, ws, [&] { attendHeads(ctx, config, ws); });
+}
+
+Tensor<Half>
+runEncoderLayer(const ExecContext &ctx,
+                const FunctionalLayerConfig &config,
+                const EncoderLayerWeights &weights,
+                const Tensor<Half> &input)
+{
+    SOFTREC_ASSERT(input.shape().rank() == 2 &&
+                   input.shape().dim(1) == config.dModel,
+                   "input must be [L, dModel]");
+    LayerWorkspace ws;
+    ws.x = input;
+    runEncoderLayerInto(ctx, config, weights, ws);
+    return std::move(ws.x);
 }
 
 } // namespace softrec

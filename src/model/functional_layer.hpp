@@ -9,11 +9,16 @@
  * through the functional kernel implementations, with fp16 storage
  * throughout. It exists to demonstrate end to end that softmax
  * recomposition leaves a real transformer layer's numerics intact,
- * not just an isolated attention head's.
+ * not just an isolated attention head's. The layer body (runLayer)
+ * is written once here: the encoder layer, the serving prefill and
+ * the decode step (model/decode.hpp) each plug in only their
+ * attention step.
  */
 
 #ifndef SOFTREC_MODEL_FUNCTIONAL_LAYER_HPP
 #define SOFTREC_MODEL_FUNCTIONAL_LAYER_HPP
+
+#include <functional>
 
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
@@ -65,15 +70,63 @@ struct FunctionalLayerConfig
 };
 
 /**
- * Optional capture of a layer's K/V projections, filled by
- * runEncoderLayer when passed. Serving prefill uses this to seed a
- * per-request KV cache without recomputing the projections.
+ * Buffers of one layer pass over R rows: the layer input/output and
+ * every intermediate the layer body produces. Callers own it, so a
+ * serving loop reuses one across layers, chunks and steps. Sizing is
+ * capacity-reusing and skips buffers that already have their shape,
+ * so once the buffers reach their high-water shape a pass allocates
+ * nothing.
  */
-struct KvProjections
+struct LayerWorkspace
 {
-    Tensor<Half> k; //!< [L, dModel] after the fc.k projection
-    Tensor<Half> v; //!< [L, dModel] after the fc.v projection
+    Tensor<Half> x;         //!< layer input/output, [R, dModel]
+    Tensor<Half> q, k, v;   //!< projections, [R, dModel]
+    Tensor<Half> attention; //!< concatenated head outputs
+    Tensor<Half> projected; //!< fc.out result
+    Tensor<Half> postAttn;  //!< x + attention
+    Tensor<Half> hidden;    //!< post-attention LayerNorm
+    Tensor<Half> ff1;       //!< [R, dFf]
+    Tensor<Half> ff2;       //!< [R, dModel]
+    Tensor<Half> out;       //!< post-FF LayerNorm
+
+    /** Size x, q, k, v and attention to [rows, d_model]. */
+    void prepareAttention(int64_t rows, int64_t d_model);
+    /** Size the buffers written after attention (projected … out). */
+    void prepareFeedForward(int64_t rows, int64_t d_model, int64_t d_ff);
 };
+
+/**
+ * The one transformer-layer body, in place on `ws.x`: the fc.q/k/v
+ * projections, then `attend`, then fc.out, residual, LayerNorm,
+ * ff.1 with GELU, ff.2, residual and LayerNorm. `attend` is the
+ * caller's attention step: it reads ws.q/k/v and fills
+ * ws.attention ([R, dModel], heads concatenated). On return ws.x
+ * holds the layer output and ws.k/v still hold this layer's K/V.
+ *
+ * The caller only provides ws.x. The other buffers are sized as the
+ * layer reaches them; the post-attention ones after `attend`, so a
+ * fresh workspace never holds them while a long prompt's attention
+ * temporaries are live.
+ *
+ * Every stage but `attend` is row-local (the packed GEMM computes
+ * each output row independently), so a row's result depends only on
+ * its own input and attention output — which is what lets one-shot
+ * prefill, chunked prefill and batched decode share bits.
+ */
+void runLayer(const ExecContext &ctx, const EncoderLayerWeights &weights,
+              LayerWorkspace &ws, const std::function<void()> &attend);
+
+/**
+ * runEncoderLayer on a caller-owned workspace: ws.x in, ws.x out,
+ * with ws.k/v left holding the layer's K/V projections. Attention is
+ * the batched per-head runAttention under the configured strategy
+ * and backend. Full-sequence callers pass a fresh workspace per
+ * layer, so no layer buffer outlives its layer.
+ */
+void runEncoderLayerInto(const ExecContext &ctx,
+                         const FunctionalLayerConfig &config,
+                         const EncoderLayerWeights &weights,
+                         LayerWorkspace &ws);
 
 /**
  * Run one encoder layer: LayerNorm(x + MHA(x)), then
@@ -83,20 +136,17 @@ struct KvProjections
  *
  * @param ctx execution context (serial when default-constructed)
  * @param input [L, dModel] fp16
- * @param kv_capture when non-null, receives copies of the layer's
- *        K/V projections (for KV-cached decode prefill)
  * @return [L, dModel] fp16
  */
 Tensor<Half> runEncoderLayer(const ExecContext &ctx,
                              const FunctionalLayerConfig &config,
                              const EncoderLayerWeights &weights,
-                             const Tensor<Half> &input,
-                             KvProjections *kv_capture = nullptr);
+                             const Tensor<Half> &input);
 
 /**
  * y = x W + b through the functional GEMM with the layer-standard
- * 16x16x16 tiling, fp16 storage. Shared by the encoder layer and the
- * KV-cached decode step so both produce bit-identical projections.
+ * 16x16x16 tiling, fp16 storage. Every projection of runLayer goes
+ * through it.
  *
  * @param x [rows, k] fp16
  * @param w [k, n] fp16

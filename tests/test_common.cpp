@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests of the common infrastructure: logging, units, stats, tables.
+ * Tests of the common infrastructure: logging, units, tables.
  */
 
 #include <fstream>
@@ -13,7 +13,6 @@
 #include "common/csv.hpp"
 #include "common/flags.hpp"
 #include "common/logging.hpp"
-#include "common/stats.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
 
@@ -110,49 +109,6 @@ TEST(Units, FormatRates)
     EXPECT_EQ(formatFlops(169e12), "169.0 TFLOPS");
     EXPECT_EQ(formatFlops(5e9), "5.0 GFLOPS");
     EXPECT_EQ(formatBandwidth(1555e9), "1555.0 GB/s");
-}
-
-TEST(StatGroup, AccumulatesAndPreservesInsertionOrder)
-{
-    StatGroup group("gpu");
-    group.add("b", 1.0);
-    group.add("a", 2.0);
-    group.add("b", 3.0);
-    EXPECT_EQ(group.get("b"), 4.0);
-    EXPECT_EQ(group.get("a"), 2.0);
-    EXPECT_EQ(group.get("missing"), 0.0);
-    EXPECT_TRUE(group.has("a"));
-    EXPECT_FALSE(group.has("missing"));
-    const auto entries = group.entries();
-    ASSERT_EQ(entries.size(), 2u);
-    EXPECT_EQ(entries[0].first, "b");
-    EXPECT_EQ(entries[1].first, "a");
-}
-
-TEST(StatGroup, SetOverwritesAndResetClears)
-{
-    StatGroup group("x");
-    group.add("v", 5.0);
-    group.set("v", 1.0);
-    EXPECT_EQ(group.get("v"), 1.0);
-    group.reset();
-    EXPECT_FALSE(group.has("v"));
-    EXPECT_TRUE(group.entries().empty());
-}
-
-TEST(RunningStat, SummaryStatistics)
-{
-    RunningStat stat;
-    EXPECT_EQ(stat.count(), 0u);
-    EXPECT_EQ(stat.mean(), 0.0);
-    for (double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0})
-        stat.sample(v);
-    EXPECT_EQ(stat.count(), 8u);
-    EXPECT_DOUBLE_EQ(stat.mean(), 5.0);
-    EXPECT_DOUBLE_EQ(stat.stddev(), 2.0);
-    EXPECT_DOUBLE_EQ(stat.min(), 2.0);
-    EXPECT_DOUBLE_EQ(stat.max(), 9.0);
-    EXPECT_DOUBLE_EQ(stat.sum(), 40.0);
 }
 
 TEST(TextTable, RendersAlignedColumns)

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "model/decode.hpp"
 #include "model/functional_layer.hpp"
 #include "serve/kv_cache.hpp"
+#include "sparse/patterns.hpp"
 
 namespace softrec {
 namespace {
@@ -285,6 +287,123 @@ TEST(GoldenBits, GenerationMatchesRecordedHash)
               0x8cd5f100239dfd2aull);
     EXPECT_EQ(goldenGenerationHash(AttentionBackend::Streaming),
               0x1d9b074bcd535ce5ull);
+}
+
+/**
+ * Hash of one encoder layer under `strategy`: d_model 64, 4 heads,
+ * over a 37-row input (ragged against every tile width) for dense
+ * attention, or a 48-row input (a multiple of the 16-token block)
+ * for the block-sparse `layout`.
+ */
+uint64_t
+goldenLayerHash(Strategy strategy, bool causal, const BsrLayout *layout)
+{
+    constexpr int64_t dm = 64;
+    Rng rng(4321);
+    const EncoderLayerWeights weights =
+        EncoderLayerWeights::random(dm, 128, rng);
+    FunctionalLayerConfig config;
+    config.dModel = dm;
+    config.numHeads = 4;
+    config.dFf = 128;
+    config.causalMask = causal;
+    config.layout = layout;
+    config.strategy = strategy;
+    Tensor<Half> input(Shape({layout != nullptr ? 48 : 37, dm}));
+    for (int64_t i = 0; i < input.numel(); ++i)
+        input.data()[i] = Half(float(rng.normal(0.0, 0.5)));
+    return hashBits(0xcbf29ce484222325ull,
+                    runEncoderLayer(ExecContext::fromEnv(), config,
+                                    weights, input));
+}
+
+TEST(GoldenBits, EncoderLayerMatchesRecordedHash)
+{
+    // Recorded before runEncoderLayer, the prefill and the decode step
+    // were folded into one shared layer body.
+    const BsrLayout layout = bigBirdPattern(48, BigBirdParams{16, 1, 1, 1, 7});
+    struct Case
+    {
+        Strategy strategy;
+        bool causal;
+        const BsrLayout *layout;
+        uint64_t hash;
+    };
+    const Case cases[] = {
+        {Strategy::Baseline, false, nullptr, 0x1cfd40bbf4361c89ull},
+        {Strategy::Baseline, true, nullptr, 0x104b6549f5653b5bull},
+        {Strategy::Baseline, false, &layout, 0xa3f03b6fcfb74538ull},
+        {Strategy::Decomposed, false, nullptr, 0xeb80278d173a0b3cull},
+        {Strategy::Decomposed, true, nullptr, 0xe30f4bf7d11f487full},
+        {Strategy::Decomposed, false, &layout, 0x93d23e3256014d93ull},
+        {Strategy::Fused, false, nullptr, 0x5b63561275230493ull},
+        {Strategy::Fused, true, nullptr, 0x74b1da878e3b4807ull},
+        {Strategy::Fused, false, &layout, 0x2a7ff635923bd687ull},
+    };
+    for (const Case &c : cases)
+        EXPECT_EQ(goldenLayerHash(c.strategy, c.causal, c.layout), c.hash)
+            << strategyName(c.strategy) << " causal=" << c.causal
+            << " sparse=" << (c.layout != nullptr);
+}
+
+/**
+ * Hash of a chunked generation: a 77-token prompt prefilled in
+ * 5-row chunks through the golden-generation stack on a `dtype` KV
+ * cache, then 8 single-row decode steps.
+ */
+uint64_t
+goldenChunkedHash(AttentionBackend backend, KvDtype dtype)
+{
+    constexpr int64_t dm = 256;
+    constexpr int64_t layers = 2;
+    constexpr int64_t prompt_tokens = 77;
+    Rng rng(1234);
+    DecoderStack stack = DecoderStack::random(dm, 4, 1024, layers, rng);
+    stack.config.attention = backend;
+    Tensor<Half> prompt(Shape({prompt_tokens, dm}));
+    for (int64_t i = 0; i < prompt.numel(); ++i)
+        prompt.data()[i] = Half(float(rng.normal(0.0, 0.5)));
+
+    const ExecContext ctx = ExecContext::fromEnv();
+    KvSlab slab(/*block_tokens=*/16, dm, 64, dtype);
+    KvCache cache(slab, layers);
+    PrefillState state;
+    state.prepare(stack, prompt_tokens);
+    DecodeStepWorkspace ws;
+    Tensor<Half> chunk;
+    uint64_t h = 0xcbf29ce484222325ull;
+    while (!state.done()) {
+        runPrefill(ctx, stack, prompt,
+                   std::min<int64_t>(5, prompt_tokens - state.rowsDone),
+                   cache, state, ws, chunk);
+        h = hashBits(h, chunk);
+    }
+
+    Tensor<Half> input(Shape({1, dm}));
+    for (int64_t j = 0; j < dm; ++j)
+        input.at(0, j) = chunk.at(chunk.shape().dim(0) - 1, j);
+    Tensor<Half> next;
+    for (int step = 0; step < 8; ++step) {
+        runDecodeStepInto(ctx, stack, input, {&cache}, ws, next);
+        h = hashBits(h, next);
+        std::swap(input, next);
+    }
+    return h;
+}
+
+TEST(GoldenBits, ChunkedGenerationMatchesRecordedHash)
+{
+    // Recorded with the encoder-layer hashes above. The f16 hashes
+    // equal the one-shot ones in GenerationMatchesRecordedHash: the
+    // chunks concatenate to the one-shot prefill output bit for bit.
+    EXPECT_EQ(goldenChunkedHash(AttentionBackend::Recomposed, KvDtype::F16),
+              0x8cd5f100239dfd2aull);
+    EXPECT_EQ(goldenChunkedHash(AttentionBackend::Recomposed, KvDtype::I8),
+              0x9cc4d55baefac968ull);
+    EXPECT_EQ(goldenChunkedHash(AttentionBackend::Streaming, KvDtype::F16),
+              0x1d9b074bcd535ce5ull);
+    EXPECT_EQ(goldenChunkedHash(AttentionBackend::Streaming, KvDtype::I8),
+              0xd0851455dc5e89c3ull);
 }
 
 TEST(DecodeStep, StructureAndWeightBoundGemvs)

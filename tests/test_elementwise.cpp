@@ -10,7 +10,6 @@
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "kernels/elementwise.hpp"
-#include "kernels/gemm.hpp"
 #include "tensor/tensor_ops.hpp"
 
 namespace softrec {
@@ -85,32 +84,6 @@ TEST(ResidualAdd, ElementwiseSum)
     residualAddRun(execCtx(), a, b, out);
     for (int64_t i = 0; i < 6; ++i)
         EXPECT_EQ(float(out.at(i)), 3.5f);
-}
-
-TEST(BiasAct, BiasOnly)
-{
-    Tensor<Half> in(Shape({2, 3}), Half(1.0f));
-    Tensor<float> bias(Shape({3}));
-    bias.at(0) = 0.0f;
-    bias.at(1) = 1.0f;
-    bias.at(2) = -2.0f;
-    Tensor<Half> out(in.shape());
-    biasActRun(execCtx(), in, bias, false, out);
-    EXPECT_EQ(float(out.at(0, 0)), 1.0f);
-    EXPECT_EQ(float(out.at(0, 1)), 2.0f);
-    EXPECT_EQ(float(out.at(1, 2)), -1.0f);
-}
-
-TEST(BiasAct, BiasPlusGelu)
-{
-    Tensor<Half> in(Shape({1, 2}), Half(0.0f));
-    Tensor<float> bias(Shape({2}));
-    bias.at(0) = 1.0f;
-    bias.at(1) = -1.0f;
-    Tensor<Half> out(in.shape());
-    biasActRun(execCtx(), in, bias, true, out);
-    EXPECT_NEAR(float(out.at(0, 0)), geluApprox(1.0f), 1e-3);
-    EXPECT_NEAR(float(out.at(0, 1)), geluApprox(-1.0f), 1e-3);
 }
 
 // ---------- profiles ----------

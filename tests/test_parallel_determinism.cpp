@@ -15,8 +15,6 @@
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
-#include "kernels/fused_mha.hpp"
-#include "model/engine.hpp"
 #include "model/functional_layer.hpp"
 #include "sparse/patterns.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -121,25 +119,6 @@ TEST(ParallelDeterminism, SparseAttentionAllStrategies)
     }
 }
 
-TEST(ParallelDeterminism, FusedMha)
-{
-    FusedMhaDesc desc;
-    desc.seqLen = 128;
-    desc.dHead = 32;
-    desc.scale = 1.0 / std::sqrt(32.0);
-    desc.causalMask = true;
-    Rng rng(17);
-    Tensor<Half> q(Shape({128, 32})), k(q.shape()), v(q.shape());
-    fillNormal(q, rng, 0.0, 0.8);
-    fillNormal(k, rng, 0.0, 0.8);
-    fillNormal(v, rng, 0.0, 0.8);
-    expectDeterministic("fusedMha", [&](const ExecContext &ctx) {
-        Tensor<Half> out(q.shape());
-        fusedMhaRun(ctx, desc, q, k, v, out);
-        return out;
-    });
-}
-
 TEST(ParallelDeterminism, EncoderLayer)
 {
     FunctionalLayerConfig config;
@@ -156,34 +135,6 @@ TEST(ParallelDeterminism, EncoderLayer)
     expectDeterministic("encoderLayer", [&](const ExecContext &ctx) {
         return runEncoderLayer(ctx, config, weights, input);
     });
-}
-
-TEST(ParallelDeterminism, InferenceSweepAlignsWithSerialRuns)
-{
-    const GpuSpec spec = GpuSpec::a100();
-    ModelConfig model = ModelConfig::bertLarge();
-    std::vector<RunConfig> runs;
-    for (Strategy strategy : allStrategies()) {
-        RunConfig run;
-        run.strategy = strategy;
-        run.seqLen = 1024;
-        run.batch = 2;
-        runs.push_back(run);
-    }
-    ThreadPool pool(4);
-    ExecContext ctx;
-    ctx.pool = &pool;
-    const auto sweep = runInferenceSweep(ctx, spec, model, runs);
-    ASSERT_EQ(sweep.size(), runs.size());
-    for (size_t i = 0; i < runs.size(); ++i) {
-        const InferenceResult serial =
-            runInference(spec, model, runs[i]);
-        EXPECT_EQ(sweep[i].strategy, runs[i].strategy);
-        EXPECT_DOUBLE_EQ(sweep[i].seconds, serial.seconds);
-        EXPECT_EQ(sweep[i].dramReadBytes, serial.dramReadBytes);
-        EXPECT_EQ(sweep[i].dramWriteBytes, serial.dramWriteBytes);
-        EXPECT_EQ(sweep[i].kernelLaunches, serial.kernelLaunches);
-    }
 }
 
 } // namespace

@@ -226,6 +226,32 @@ TEST(PrefillChunk, StateGuardsMisuse)
                                 ws, out),
                      std::logic_error);
     }
+    {
+        // A state prepared for a stack with fewer layers must not be
+        // indexed past its staging.
+        Rng rng(37);
+        const DecoderStack shallow =
+            DecoderStack::random(kDm, kHeads, kDff, kLayers - 1, rng);
+        KvCache cache(slab, kLayers);
+        PrefillState state;
+        state.prepare(shallow, 8);
+        EXPECT_THROW(runPrefill(ctx, stack, prompt, 4, cache, state,
+                                ws, out),
+                     std::logic_error);
+    }
+    {
+        // A state staged at a narrower width must not be written with
+        // dModel-wide rows.
+        Rng rng(41);
+        const DecoderStack narrow =
+            DecoderStack::random(kDm / 2, kHeads, kDff, kLayers, rng);
+        KvCache cache(slab, kLayers);
+        PrefillState state;
+        state.prepare(narrow, 8);
+        EXPECT_THROW(runPrefill(ctx, stack, prompt, 4, cache, state,
+                                ws, out),
+                     std::logic_error);
+    }
 }
 
 } // namespace

@@ -9,6 +9,14 @@ runDecodeStepInto(Ctx &ctx)
   ctx.use(ws.get(), once.get());
 }
 
+template <typename RowViews>
+void
+attendRows(Ctx &ctx, Workspace &ws, const RowViews &views)
+{
+  ws.attend.resize(ctx.slots());
+  ctx.use(views(0));
+}
+
 void
 setupOnce(Ctx &ctx)
 {

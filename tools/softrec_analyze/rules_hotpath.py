@@ -17,14 +17,18 @@ KERNEL_DIRS = ("src/kernels/",)
 
 # Functions on the per-token decode path: their whole bodies must be
 # allocation-free (setup that genuinely runs once per step is
-# annotated allow() at the site, with the reason). The prefill and
-# finish helpers around
+# annotated allow() at the site, with the reason). The decode step
+# runs through the layer body (runLayer) and the per-(row, head)
+# attention loop (attendRows) it shares with prefill, so both are
+# listed with it. The prefill and finish helpers around
 # ServeEngine::serveStep are deliberately NOT here: they are the
 # documented amortized-allocation boundary (workspace construction,
 # batch recomposition) that keeps these bodies clean.
 HOT_FUNCTIONS = {
     "decodeAttendRun",          # src/kernels/decode_attention.cpp
     "runDecodeStepInto",        # src/model/decode.cpp
+    "attendRows",               # src/model/decode.cpp
+    "runLayer",                 # src/model/functional_layer.cpp
     "ServeEngine::serveStep",   # src/serve/serve_engine.cpp
 }
 
@@ -58,7 +62,7 @@ def _hot_function_lines(src):
     "no new/malloc/container growth (a) inside loop bodies or "
     "parallelFor lambdas in src/kernels/, or (b) anywhere in the "
     "per-token decode functions (decodeAttendRun, runDecodeStepInto, "
-    "ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
+    "attendRows, runLayer, ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
     "workspace (DecodeAttendWorkspace / DecodeStepWorkspace), or "
     "hoist the allocation out of the steady state; per-chunk staging "
     "that is deliberately amortized lives in the baseline with its "
