@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "model/decode.hpp"
+#include "model/generation.hpp"
 
 using namespace softrec;
 using namespace softrec::bench;

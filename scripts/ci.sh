@@ -27,7 +27,9 @@
 #      test_streaming_attention runs the tiled kernel's strips;
 #      test_gemm and test_simd_kernels run the packed GEMM's strips;
 #      test_decode and test_prefill_chunk run the parallel
-#      per-(row, head) attention loop of decode and chunked prefill)
+#      per-(row, head) attention loop of decode and chunked prefill;
+#      test_softmax_kernels and test_bsr_kernels run the row- and
+#      block-parallel softmax kernels)
 #   8. bench smoke: micro_kernels, micro_simd, micro_streaming,
 #      serve_throughput, and the serve_load admission-regime trace at
 #      a CI-sized sequence length; SOFTREC_BENCH_DIR routes every
@@ -142,10 +144,10 @@ cmake --build build/tsan -j "${JOBS}" --target \
     test_attention_exec test_functional_layer test_profiler \
     test_serve test_admission test_serve_engine \
     test_streaming_attention test_gemm test_simd_kernels \
-    test_decode test_prefill_chunk
+    test_decode test_prefill_chunk test_softmax_kernels test_bsr_kernels
 SOFTREC_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build/tsan --output-on-failure -j "${JOBS}" \
-    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention|test_gemm|test_simd_kernels|test_decode|test_prefill_chunk'
+    -R 'test_exec_context|test_parallel_determinism|test_attention_exec|test_functional_layer|test_profiler|test_serve|test_admission|test_serve_engine|test_streaming_attention|test_gemm|test_simd_kernels|test_decode|test_prefill_chunk|test_softmax_kernels|test_bsr_kernels'
 
 # Smoke reports land in the build tree; clear stale ones so the
 # existence check below sees only this run's output.

@@ -6,8 +6,6 @@
 #include "kernels/bsr_gemm.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -15,15 +13,10 @@
 #include "common/profiler.hpp"
 #include "kernels/gemm.hpp"
 #include "kernels/kernel_common.hpp"
+#include "kernels/softmax_row.hpp"
 #include "sim/calibration.hpp"
 
 namespace softrec {
-
-namespace {
-
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
-} // namespace
 
 KernelProfile
 bsrSddProfile(const GpuSpec &spec, const BsrSddDesc &desc)
@@ -154,19 +147,9 @@ bsrSddRun(const ExecContext &ctx, const BsrSddDesc &desc,
             for (int64_t i = 0; i < bs; ++i) {
                 float *row = &acc[size_t(i * bs)];
                 if (desc.fuseLocalSoftmax) {
-                    float m_local = kNegInf;
-                    for (int64_t j = 0; j < bs; ++j)
-                        m_local = std::max(m_local, row[j]);
-                    float d_local = 0.0f;
-                    for (int64_t j = 0; j < bs; ++j) {
-                        const float e = m_local == kNegInf
-                            ? 0.0f
-                            : std::exp(row[j] - m_local);
-                        d_local += e;
-                        row[j] = e;
-                    }
-                    (*local_max)[size_t(kk * bs + i)] = m_local;
-                    (*local_sum)[size_t(kk * bs + i)] = d_local;
+                    const SoftmaxStats st = localSoftmax(row, bs);
+                    (*local_max)[size_t(kk * bs + i)] = st.m;
+                    (*local_sum)[size_t(kk * bs + i)] = st.d;
                 }
                 floatToHalf(row, s.blockData(kk) + i * bs, bs);
             }

@@ -7,21 +7,19 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "kernels/kernel_common.hpp"
+#include "kernels/softmax_row.hpp"
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
 
 namespace softrec {
 
 namespace {
-
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 const BsrLayout &
 checkedLayout(const BsrSoftmaxDesc &desc)
@@ -149,29 +147,18 @@ bsrRowSoftmaxRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
                 halfToFloat(in.blockData(k) + i * bs,
                             &row[size_t(s * bs)], bs);
             }
-            float max_val = kNegInf;
-            for (size_t x = 0; x < row_len; ++x)
-                max_val = std::max(max_val, row[x]);
-            float denom = 0.0f;
-            for (size_t x = 0; x < row_len; ++x) {
-                const float e = max_val == kNegInf
-                    ? 0.0f
-                    : std::exp(row[x] - max_val);
-                row[x] = e;
-                denom += e;
-            }
-            for (size_t x = 0; x < row_len; ++x)
-                row[x] = denom > 0.0f ? row[x] / denom : 0.0f;
+            const SoftmaxStats st =
+                safeSoftmax(row.data(), int64_t(row_len));
             for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
                  ++k) {
                 const int64_t s = k - layout.rowBegin(br);
                 floatToHalf(&row[size_t(s * bs)],
                             out.blockData(k) + i * bs, bs);
             }
-            SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
+            SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                           "BSR softmax row %lld: d = %f must be "
                           "positive for an unmasked row",
-                          (long long)(br * bs + i), double(denom));
+                          (long long)(br * bs + i), double(st.d));
         }
     }
     });
@@ -235,24 +222,14 @@ bsrLsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
     for (int64_t k = blk0; k < blk1; ++k) {
         for (int64_t i = 0; i < bs; ++i) {
             halfToFloat(in.blockData(k) + i * bs, row.data(), bs);
-            float m_local = kNegInf;
-            for (int64_t j = 0; j < bs; ++j)
-                m_local = std::max(m_local, row[size_t(j)]);
-            float d_local = 0.0f;
-            for (int64_t j = 0; j < bs; ++j) {
-                const float e = m_local == kNegInf
-                    ? 0.0f
-                    : std::exp(row[size_t(j)] - m_local);
-                d_local += e;
-                row[size_t(j)] = e;
-            }
+            const SoftmaxStats st = localSoftmax(row.data(), bs);
             floatToHalf(row.data(), x_prime.blockData(k) + i * bs, bs);
-            local_max[size_t(k * bs + i)] = m_local;
-            local_sum[size_t(k * bs + i)] = d_local;
-            SOFTREC_CHECK(d_local > 0.0f || m_local == kNegInf,
+            local_max[size_t(k * bs + i)] = st.m;
+            local_sum[size_t(k * bs + i)] = st.d;
+            SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                           "BSR LS block %lld row %lld: d' = %f must be "
                           "positive unless fully masked",
-                          (long long)k, (long long)i, double(d_local));
+                          (long long)k, (long long)i, double(st.d));
         }
     }
     });
@@ -310,36 +287,19 @@ bsrIrRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
             scope.addRead(md_count * 2 * kFp32Bytes); // m', d'
             scope.addWrite(md_count * kFp32Bytes);    // r'
         }
+        // Row i of block row br: its (m', d') pairs sit one block,
+        // bs slots, apart.
+        const int64_t first = layout.rowBegin(br) * bs;
+        const int64_t row_nnz = layout.rowEnd(br) - layout.rowBegin(br);
         for (int64_t i = 0; i < bs; ++i) {
-            float m_global = kNegInf;
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                m_global = std::max(m_global,
-                                    local_max[size_t(k * bs + i)]);
-            }
-            float d_global = 0.0f;
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                const float m_local = local_max[size_t(k * bs + i)];
-                if (m_local == kNegInf)
-                    continue;
-                d_global += std::exp(m_local - m_global) *
-                            local_sum[size_t(k * bs + i)];
-            }
-            SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
+            const SoftmaxStats st = interReduce(
+                local_max.data() + first + i,
+                local_sum.data() + first + i, row_nnz, bs,
+                recon.data() + first + i);
+            SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                           "BSR IR row %lld: global normalizer d = %f "
                           "must be positive for an unmasked row",
-                          (long long)(br * bs + i), double(d_global));
-            for (int64_t k = layout.rowBegin(br); k < layout.rowEnd(br);
-                 ++k) {
-                const float m_local = local_max[size_t(k * bs + i)];
-                if (m_local == kNegInf || d_global <= 0.0f) {
-                    recon[size_t(k * bs + i)] = 0.0f;
-                } else {
-                    recon[size_t(k * bs + i)] =
-                        std::exp(m_local - m_global) / d_global;
-                }
-            }
+                          (long long)(br * bs + i), double(st.d));
         }
     }
     });
@@ -395,11 +355,10 @@ bsrGsRun(const ExecContext &ctx, const BsrSoftmaxDesc &desc,
         std::vector<float> row(size_t(bs), 0.0f);
         for (int64_t k = blk0; k < blk1; ++k) {
             for (int64_t i = 0; i < bs; ++i) {
-                const float r = recon[size_t(k * bs + i)];
                 halfToFloat(x_prime.blockData(k) + i * bs, row.data(),
                             bs);
-                for (int64_t j = 0; j < bs; ++j)
-                    row[size_t(j)] *= r;
+                globalScale(row.data(), bs, &recon[size_t(k * bs + i)],
+                            bs);
                 floatToHalf(row.data(), y.blockData(k) + i * bs, bs);
             }
         }

@@ -9,8 +9,8 @@
  *    scale epilogue, then an fp16 store — exactly the per-element
  *    order of the packed GEMM micro-kernel (which accumulates
  *    k-ascending whatever the tiling) and its epilogue/store.
- *  - softmax: the same staged three-pass safe softmax as
- *    rowSoftmaxRun. The prefill row additionally carries exp(-inf)=0
+ *  - softmax: safeSoftmax (kernels/softmax_row.hpp), the call
+ *    rowSoftmaxRun makes per row. The prefill row additionally carries exp(-inf)=0
  *    terms for the causally masked tail; appending exact zeros to a
  *    running fp32 sum does not change its bits, so the shorter row
  *    here produces identical probabilities.
@@ -25,16 +25,14 @@
 #include "kernels/decode_attention.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
-#include <vector>
-
 #include <optional>
+#include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "kernels/kernel_common.hpp"
+#include "kernels/softmax_row.hpp"
 
 namespace softrec {
 
@@ -54,8 +52,6 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
                    desc.headOffset + dh <= k.rowWidth &&
                    k.rowWidth == v.rowWidth,
                    "head slice outside the cached row");
-    constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
     prof::Scope scope(ctx, "decode.attend");
     // The fp16 score-row staging below (score store -> softmax read
     // -> probability store -> P.V read) is the same four crossings
@@ -97,26 +93,14 @@ decodeAttendRun(const ExecContext &ctx, const DecodeAttendDesc &desc,
     }
     floatToHalf(row.data(), row_h.data(), context);
 
-    // Safe softmax over the score row (rowSoftmaxRun's three passes).
+    // Safe softmax over the score row, exactly as rowSoftmaxRun.
     halfToFloat(row_h.data(), row.data(), context);
-    float max_val = kNegInf;
-    for (int64_t j = 0; j < context; ++j)
-        max_val = std::max(max_val, row[size_t(j)]);
-    float denom = 0.0f;
-    for (int64_t j = 0; j < context; ++j) {
-        const float e = max_val == kNegInf
-            ? 0.0f
-            : std::exp(row[size_t(j)] - max_val);
-        row[size_t(j)] = e;
-        denom += e;
-    }
-    for (int64_t j = 0; j < context; ++j)
-        row[size_t(j)] = denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
+    const SoftmaxStats st = safeSoftmax(row.data(), context);
     floatToHalf(row.data(), row_h.data(), context);
-    SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
+    SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                   "decode attention normalizer d = %f must be positive "
                   "(the current token always attends to itself)",
-                  double(denom));
+                  double(st.d));
 
     // Output: P . V in ascending key order per output element.
     halfToFloat(row_h.data(), row.data(), context);

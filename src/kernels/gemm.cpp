@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -17,6 +16,7 @@
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "kernels/micro_gemm.hpp"
+#include "kernels/softmax_row.hpp"
 #include "sim/calibration.hpp"
 
 namespace softrec {
@@ -181,8 +181,6 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                        "LS output shapes must be [m, ceil(n/tileN)]");
     }
 
-    const float neg_inf = -std::numeric_limits<float>::infinity();
-
     // Unique-operand traffic accounting: B (and bias) are credited
     // once up front on the submitting thread; per-strip A reads and C
     // writes are credited by whichever thread runs the strip. Fused
@@ -249,15 +247,9 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         for (int64_t i = 0; i < mh; ++i) {
             float *arow = &abuf[size_t(i * k)];
             halfToFloat(ops.a->rowPtr(m0 + i), arow, k);
-            if (desc.prologue.globalScale) {
-                const float *gs = ops.gsFactors->rowPtr(m0 + i);
-                for (int64_t k0 = 0; k0 < k; k0 += gs_sub) {
-                    const float r = gs[k0 / gs_sub];
-                    const int64_t k1 = std::min(k, k0 + gs_sub);
-                    for (int64_t kk = k0; kk < k1; ++kk)
-                        arow[kk] *= r;
-                }
-            }
+            if (desc.prologue.globalScale)
+                globalScale(arow, k, ops.gsFactors->rowPtr(m0 + i),
+                            gs_sub);
         }
         for (int64_t tn = 0; tn < tiles_n; ++tn) {
             const int64_t n0 = tn * t.tileN;
@@ -281,7 +273,7 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                     const int64_t diag =
                         std::max<int64_t>(0, m0 + i + 1 - n0);
                     for (int64_t j = diag; j < nw; ++j)
-                        row[j] = neg_inf;
+                        row[j] = kNegInf;
                 }
                 if (bias != nullptr) {
                     for (int64_t j = 0; j < nw; ++j)
@@ -294,26 +286,15 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
 
                 if (desc.epilogue.localSoftmax) {
                     // One sub-vector: this row segment of width nw.
-                    float local_max = neg_inf;
-                    for (int64_t j = 0; j < nw; ++j)
-                        local_max = std::max(local_max, row[j]);
-                    float local_sum = 0.0f;
-                    for (int64_t j = 0; j < nw; ++j) {
-                        const float e = local_max == neg_inf
-                            ? 0.0f
-                            : std::exp(row[j] - local_max);
-                        local_sum += e;
-                        row[j] = e;
-                    }
-                    ls->localMax->at(m0 + i, tn) = local_max;
-                    ls->localSum->at(m0 + i, tn) = local_sum;
-                    SOFTREC_CHECK(local_sum > 0.0f ||
-                                  local_max == neg_inf,
+                    const SoftmaxStats st = localSoftmax(row, nw);
+                    ls->localMax->at(m0 + i, tn) = st.m;
+                    ls->localSum->at(m0 + i, tn) = st.d;
+                    SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                                   "fused LS epilogue (%lld, %lld): "
                                   "d' = %f must be positive unless "
                                   "fully masked",
                                   (long long)(m0 + i), (long long)tn,
-                                  double(local_sum));
+                                  double(st.d));
                 }
                 floatToHalf(row, c.rowPtr(m0 + i) + n0, nw);
             }

@@ -6,22 +6,19 @@
 #include "kernels/softmax_kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/logging.hpp"
 #include "common/profiler.hpp"
 #include "kernels/kernel_common.hpp"
+#include "kernels/softmax_row.hpp"
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
 
 namespace softrec {
 
 namespace {
-
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
 
 /** Rows per parallelFor chunk (fixed: part of the determinism contract). */
 constexpr int64_t kRowGrain = 8;
@@ -93,26 +90,12 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
         std::vector<float> row(size_t(desc.cols));
         for (int64_t i = row0; i < row1; ++i) {
             halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            float max_val = kNegInf;
-            for (int64_t j = 0; j < desc.cols; ++j)
-                max_val = std::max(max_val, row[size_t(j)]);
-            float denom = 0.0f;
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                const float e = max_val == kNegInf
-                    ? 0.0f
-                    : std::exp(row[size_t(j)] - max_val);
-                row[size_t(j)] = e;
-                denom += e;
-            }
-            for (int64_t j = 0; j < desc.cols; ++j) {
-                row[size_t(j)] =
-                    denom > 0.0f ? row[size_t(j)] / denom : 0.0f;
-            }
+            const SoftmaxStats st = safeSoftmax(row.data(), desc.cols);
             floatToHalf(row.data(), out.rowPtr(i), desc.cols);
-            SOFTREC_CHECK(denom > 0.0f || max_val == kNegInf,
+            SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                           "row %lld normalizer d = %f must be positive "
                           "for an unmasked row",
-                          (long long)i, double(denom));
+                          (long long)i, double(st.d));
         }
     });
     if constexpr (kCheckedBuild)
@@ -209,24 +192,15 @@ lsRun(const ExecContext &ctx, const SoftmaxShape &desc,
                 const int64_t j0 = sv * desc.subVector;
                 const int64_t j1 =
                     std::min(desc.cols, j0 + desc.subVector);
-                float m_local = kNegInf;
-                for (int64_t j = j0; j < j1; ++j)
-                    m_local = std::max(m_local, row[size_t(j)]);
-                float d_local = 0.0f;
-                for (int64_t j = j0; j < j1; ++j) {
-                    const float e = m_local == kNegInf
-                        ? 0.0f
-                        : std::exp(row[size_t(j)] - m_local);
-                    d_local += e;
-                    row[size_t(j)] = e;
-                }
-                md_max[sv] = m_local;
-                md_sum[sv] = d_local;
-                SOFTREC_CHECK(d_local > 0.0f || m_local == kNegInf,
+                const SoftmaxStats st =
+                    localSoftmax(&row[size_t(j0)], j1 - j0);
+                md_max[sv] = st.m;
+                md_sum[sv] = st.d;
+                SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                               "LS sub-vector (%lld, %lld): d' = %f must "
                               "be positive unless fully masked",
                               (long long)i, (long long)sv,
-                              double(d_local));
+                              double(st.d));
             }
             floatToHalf(row.data(), x_prime.rowPtr(i), desc.cols);
         }
@@ -280,32 +254,13 @@ irRun(const ExecContext &ctx, const SoftmaxShape &desc,
             scope.addWrite(md_count * kFp32Bytes);    // r'
         }
         for (int64_t i = row0; i < row1; ++i) {
-            const float *md_max = local_max.rowPtr(i);
-            const float *md_sum = local_sum.rowPtr(i);
-            float *r = recon.rowPtr(i);
-            float m_global = kNegInf;
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv)
-                m_global = std::max(m_global, md_max[sv]);
-            float d_global = 0.0f;
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv) {
-                const float m_local = md_max[sv];
-                if (m_local == kNegInf)
-                    continue; // fully masked: contributes nothing
-                d_global +=
-                    std::exp(m_local - m_global) * md_sum[sv];
-            }
-            SOFTREC_CHECK(d_global > 0.0f || m_global == kNegInf,
+            const SoftmaxStats st = interReduce(
+                local_max.rowPtr(i), local_sum.rowPtr(i),
+                desc.numSubVectors(), 1, recon.rowPtr(i));
+            SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                           "IR row %lld: global normalizer d = %f must "
                           "be positive for an unmasked row",
-                          (long long)i, double(d_global));
-            for (int64_t sv = 0; sv < desc.numSubVectors(); ++sv) {
-                const float m_local = md_max[sv];
-                if (m_local == kNegInf || d_global <= 0.0f) {
-                    r[sv] = 0.0f;
-                } else {
-                    r[sv] = std::exp(m_local - m_global) / d_global;
-                }
-            }
+                          (long long)i, double(st.d));
         }
     });
     if constexpr (kCheckedBuild)
@@ -366,14 +321,8 @@ gsRun(const ExecContext &ctx, const SoftmaxShape &desc,
         std::vector<float> row(size_t(desc.cols));
         for (int64_t i = row0; i < row1; ++i) {
             halfToFloat(x_prime.rowPtr(i), row.data(), desc.cols);
-            const float *r = recon.rowPtr(i);
-            for (int64_t j0 = 0; j0 < desc.cols; j0 += desc.subVector) {
-                const float scale = r[j0 / desc.subVector];
-                const int64_t j1 =
-                    std::min(desc.cols, j0 + desc.subVector);
-                for (int64_t j = j0; j < j1; ++j)
-                    row[size_t(j)] *= scale;
-            }
+            globalScale(row.data(), desc.cols, recon.rowPtr(i),
+                        desc.subVector);
             floatToHalf(row.data(), y.rowPtr(i), desc.cols);
         }
     });

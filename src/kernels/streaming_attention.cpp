@@ -28,10 +28,8 @@
 #include "kernels/streaming_attention.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -39,6 +37,7 @@
 #include "common/profiler.hpp"
 #include "kernels/kernel_common.hpp"
 #include "kernels/micro_gemm.hpp"
+#include "kernels/softmax_row.hpp"
 
 namespace softrec {
 
@@ -71,8 +70,6 @@ attentionBackendFromEnv()
 
 namespace {
 
-constexpr float kNegInf = -std::numeric_limits<float>::infinity();
-
 /**
  * Fold one w-wide tile of scaled scores into a row's running
  * (m, d, acc) state. `v_row(j)` returns the fp32 V row of tile
@@ -85,23 +82,9 @@ onlineTileUpdate(float *SOFTREC_RESTRICT s, int64_t w, int64_t dh,
                  float &m, float &d, float *SOFTREC_RESTRICT acc,
                  VRowFn &&v_row)
 {
-    float tile_max = kNegInf;
-    for (int64_t j = 0; j < w; ++j)
-        tile_max = std::max(tile_max, s[j]);
-    const float m_new = std::max(m, tile_max);
-    if (m_new == kNegInf)
+    float rescale = 1.0f;
+    if (!onlineFold(s, w, m, d, rescale))
         return; // every score so far is -inf; nothing to accumulate
-    // softrec-lint: allow(raw-exp) — this IS a safe softmax: both
-    // exponents are <= 0 by construction (m, s[j] <= m_new).
-    const float rescale = std::exp(m - m_new); // 1.0 when m == m_new
-    float tile_sum = 0.0f;
-    for (int64_t j = 0; j < w; ++j) {
-        // softrec-lint: allow(raw-exp) — see above.
-        const float e = std::exp(s[j] - m_new);
-        s[j] = e;
-        tile_sum += e;
-    }
-    d = d * rescale + tile_sum;
     if (rescale != 1.0f) {
         for (int64_t dd = 0; dd < dh; ++dd)
             acc[dd] *= rescale;
@@ -112,7 +95,6 @@ onlineTileUpdate(float *SOFTREC_RESTRICT s, int64_t w, int64_t dh,
         for (int64_t dd = 0; dd < dh; ++dd)
             acc[dd] += p * vr[dd];
     }
-    m = m_new;
 }
 
 /**

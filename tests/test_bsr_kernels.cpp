@@ -5,9 +5,11 @@
  */
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "kernels/bsr_gemm.hpp"
@@ -208,6 +210,26 @@ TEST(BsrFusedSdd, MatchesUnfusedPipeline)
         EXPECT_NEAR(d_fused[i], d_ref[i],
                     5e-3 + 0.02 * std::abs(d_ref[i]));
     }
+}
+
+TEST(BsrFusedSdd, RejectsNanQueryInCheckedBuild)
+{
+    // A NaN query element poisons its score row in every stored block;
+    // the fused LS must not report those rows as fully masked.
+    if (!kCheckedBuild)
+        GTEST_SKIP() << "NaN checks are compiled into checked builds";
+    const BsrLayout layout = testLayout();
+    Inputs in = makeInputs(8);
+    in.q.at(20, 3) = Half(std::numeric_limits<float>::quiet_NaN());
+    BsrSddDesc fused;
+    fused.layout = &layout;
+    fused.dHead = kDh;
+    fused.scale = 0.35;
+    fused.fuseLocalSoftmax = true;
+    BsrMatrix s(layout);
+    std::vector<float> lmax, lsum;
+    EXPECT_THROW(bsrSddRun(execCtx(), fused, in.q, in.k, s, &lmax, &lsum),
+                 std::logic_error);
 }
 
 TEST(BsrFusedDsd, MatchesGsThenDsd)

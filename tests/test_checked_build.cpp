@@ -23,6 +23,7 @@
 #include "common/check.hpp"
 #include "common/exec_context.hpp"
 #include "kernels/softmax_kernels.hpp"
+#include "kernels/softmax_row.hpp"
 #include "sparse/bsr.hpp"
 #include "sparse/bsr_matrix.hpp"
 #include "tensor/tensor.hpp"
@@ -133,6 +134,23 @@ TEST(CheckedBuild, SpanViewAdapterWorks)
     checkFinite(spanOf(v), "clean span");
     v[1] = kNan;
     EXPECT_THROW(checkFinite(spanOf(v), "poisoned span"),
+                 std::logic_error);
+}
+
+TEST(CheckedBuild, AllNanSegmentIsNotAMaskedSegment)
+{
+    // std::max(-inf, NaN) keeps -inf, so without the NaN check an
+    // all-NaN segment would pass as fully masked (m' = -inf, d' = 0).
+    std::vector<float> masked(8, -kInf);
+    float m = -kInf, d = 0.0f, rescale = 1.0f;
+    EXPECT_FALSE(onlineFold(masked.data(), 8, m, d, rescale));
+    const SoftmaxStats st = localSoftmax(masked.data(), 8);
+    EXPECT_EQ(st.m, -kInf);
+    EXPECT_EQ(st.d, 0.0f);
+
+    std::vector<float> poisoned(8, kNan);
+    EXPECT_THROW(localSoftmax(poisoned.data(), 8), std::logic_error);
+    EXPECT_THROW(onlineFold(poisoned.data(), 8, m, d, rescale),
                  std::logic_error);
 }
 

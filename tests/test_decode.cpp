@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "kernels/streaming_attention.hpp"
 #include "model/decode.hpp"
 #include "model/functional_layer.hpp"
+#include "model/generation.hpp"
 #include "serve/kv_cache.hpp"
 #include "sparse/patterns.hpp"
 
@@ -404,6 +406,42 @@ TEST(GoldenBits, ChunkedGenerationMatchesRecordedHash)
               0x1d9b074bcd535ce5ull);
     EXPECT_EQ(goldenChunkedHash(AttentionBackend::Streaming, KvDtype::I8),
               0xd0851455dc5e89c3ull);
+}
+
+/**
+ * Hash of non-causal cross-attention through streamingAttentionRun:
+ * 100 queries over 150 keys at dHead 16, ragged against both the
+ * 64-row query strip and the 64-key tile.
+ */
+uint64_t
+goldenStreamingCrossHash()
+{
+    constexpr int64_t L = 100;
+    constexpr int64_t kv = 150;
+    constexpr int64_t dh = 16;
+    Rng rng(2718);
+    Tensor<Half> q(Shape({L, dh}));
+    Tensor<Half> k(Shape({kv, dh}));
+    Tensor<Half> v(Shape({kv, dh}));
+    for (Tensor<Half> *t : {&q, &k, &v})
+        for (int64_t i = 0; i < t->numel(); ++i)
+            t->data()[i] = Half(float(rng.normal(0.0, 0.5)));
+    StreamingAttentionDesc desc;
+    desc.seqLen = L;
+    desc.kvLen = kv;
+    desc.dHead = dh;
+    desc.scale = 0.25; // 1/sqrt(dh)
+    Tensor<Half> out(Shape({L, dh}));
+    streamingAttentionRun(ExecContext::fromEnv(), desc, q, k, v, out);
+    return hashBits(0xcbf29ce484222325ull, out);
+}
+
+TEST(GoldenBits, StreamingCrossAttentionMatchesRecordedHash)
+{
+    // Recorded before the fp32 softmax steps moved into
+    // kernels/softmax_row.hpp. The only streaming case that no other
+    // hash pins: every other check of it is a tolerance.
+    EXPECT_EQ(goldenStreamingCrossHash(), 0x5450fd1cda46b420ull);
 }
 
 TEST(DecodeStep, StructureAndWeightBoundGemvs)

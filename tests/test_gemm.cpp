@@ -6,10 +6,12 @@
  */
 
 #include <cmath>
+#include <limits>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "kernels/gemm.hpp"
@@ -202,6 +204,29 @@ TEST(GemmRun, FusedLsMatchesStandaloneLsKernel)
     EXPECT_LT(maxAbsDiff(toFloat(x_fused), toFloat(x_ref)), 5e-3);
     EXPECT_LT(maxAbsDiff(m_fused, m_ref), 2e-3);
     EXPECT_LT(maxRelDiff(d_fused, d_ref, 1e-3), 2e-2);
+}
+
+TEST(GemmRun, FusedLsRejectsNanQueryInCheckedBuild)
+{
+    // One NaN in a query row makes that whole score row NaN, and
+    // max(-inf, NaN) keeps -inf: without a NaN check every segment of
+    // the row would pass as fully masked (m' = -inf, d' = 0).
+    if (!kCheckedBuild)
+        GTEST_SKIP() << "NaN checks are compiled into checked builds";
+    Rng rng(7);
+    GemmDesc desc = smallDesc(16, 16, 8);
+    desc.epilogue.localSoftmax = true;
+    MadeOperands made = makeOperands(desc, rng, true);
+    made.a.at(3, 5) = Half(std::numeric_limits<float>::quiet_NaN());
+    GemmOperands ops;
+    ops.a = &made.a;
+    ops.b = &made.b;
+    ops.transposeB = true;
+    Tensor<Half> c(Shape({16, 16}));
+    Tensor<float> lmax(Shape({16, 2})), lsum(Shape({16, 2}));
+    LsOutputs ls{&lmax, &lsum};
+    EXPECT_THROW(gemmRun(execCtx(), desc, ops, c, &ls),
+                 std::logic_error);
 }
 
 TEST(GemmRun, GsPrologueMatchesReference)

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
 #include "kernels/decode_attention.hpp"
@@ -360,6 +361,31 @@ TEST_P(DecodeKernelEdgeCases, SingleTokenContextReturnsTheVRow)
                out.data(), nullptr);
     for (int64_t j = 0; j < dh; ++j)
         EXPECT_EQ(out[size_t(j)].bits(), v.at(0, j).bits()) << j;
+}
+
+TEST_P(DecodeKernelEdgeCases, NanQueryIsRejectedInCheckedBuild)
+{
+    // One NaN query element makes every score NaN. max(-inf, NaN)
+    // keeps -inf, so without a NaN check the row would pass as fully
+    // masked and store zeros.
+    if (!kCheckedBuild)
+        GTEST_SKIP() << "NaN checks are compiled into checked builds";
+    const int64_t dh = 8;
+    const int64_t context = 70; // spans a partial second key tile
+    Rng rng(71);
+    Tensor<Half> k = randomHalf(rng, context, dh);
+    Tensor<Half> v = randomHalf(rng, context, dh);
+    std::vector<Half> q(size_t(dh), Half(0.5f));
+    q[2] = Half(std::numeric_limits<float>::quiet_NaN());
+
+    DecodeAttendDesc desc;
+    desc.dHead = dh;
+    TensorKvView kv(k, context);
+    TensorKvView vv(v, context);
+    std::vector<Half> out(size_t(dh), Half(0.0f));
+    EXPECT_THROW(GetParam()(ExecContext(), desc, q.data(), kv.view,
+                            vv.view, out.data(), nullptr),
+                 std::logic_error);
 }
 
 // --- SOFTREC_ATTENTION knob -------------------------------------------

@@ -7,14 +7,11 @@ import re
 from registry import register
 
 # Files implementing safe softmax itself: exp() here is always of the
-# form exp(x - m) with m the running/local/global max.
+# form exp(x - m) with m the running/local/global max. Every fp32
+# kernel takes its softmax steps from kernels/softmax_row.hpp; the
+# core/ files hold the double-precision references.
 RAW_EXP_ALLOWED_FILES = {
-    "src/kernels/softmax_kernels.cpp",
-    "src/kernels/decode_attention.cpp",
-    "src/kernels/bsr_softmax.cpp",
-    "src/kernels/bsr_gemm.cpp",
-    "src/kernels/gemm.cpp",
-    "src/kernels/fused_mha.cpp",
+    "src/kernels/softmax_row.hpp",
     "src/core/softmax_math.cpp",
     "src/core/attention_exec.cpp",
 }
