@@ -8,6 +8,10 @@
  * (e.g. decomposition must not change asymptotic cost).
  */
 
+#include <cctype>
+#include <cstdlib>
+#include <string>
+
 #include <benchmark/benchmark.h>
 
 #include "bench_common.hpp"
@@ -297,16 +301,53 @@ writeTrafficReport()
     return 0;
 }
 
+/** google-benchmark's reading of a boolean flag value ("" is true). */
+bool
+truthy(std::string value)
+{
+    if (value.size() == 1) {
+        const char ch = value[0];
+        return std::isalnum(static_cast<unsigned char>(ch)) &&
+               std::string("0fFnN").find(ch) == std::string::npos;
+    }
+    for (char &ch : value)
+        ch = char(std::tolower(static_cast<unsigned char>(ch)));
+    return value != "false" && value != "no" && value != "off";
+}
+
+/**
+ * True if google-benchmark is asked only to list the benchmarks
+ * (--benchmark_list_tests, or its BENCHMARK_LIST_TESTS environment
+ * default): a list request times nothing and writes no report.
+ */
+bool
+listRequested(int argc, char **argv)
+{
+    const std::string flag = "--benchmark_list_tests";
+    bool list = false;
+    if (const char *env = std::getenv("BENCHMARK_LIST_TESTS"))
+        list = truthy(env);
+    for (int i = 1; i < argc; ++i) { // the last occurrence wins
+        const std::string arg = argv[i];
+        if (arg == flag)
+            list = true;
+        else if (arg.rfind(flag + "=", 0) == 0)
+            list = truthy(arg.substr(flag.size() + 1));
+    }
+    return list;
+}
+
 } // namespace
 } // namespace softrec
 
 int
 main(int argc, char **argv)
 {
+    const bool list_only = softrec::listRequested(argc, argv);
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;
     benchmark::RunSpecifiedBenchmarks();
     benchmark::Shutdown();
-    return softrec::writeTrafficReport();
+    return list_only ? 0 : softrec::writeTrafficReport();
 }

@@ -44,7 +44,11 @@
 #      negative checks that malformed SOFTREC_BENCH_SEQLEN,
 #      SOFTREC_ATTENTION, SOFTREC_SERVE_KV_DTYPE, and
 #      SOFTREC_SERVE_PREFILL_CHUNK values hard-error instead of
-#      falling back
+#      falling back, and that micro_kernels --benchmark_list_tests
+#      writes no file into its working directory
+#   9. servebench: its unit self-test, then a 5 s long_prompt run that
+#      must report "correct": true (servebench builds its own copy of
+#      src/ against the kernel headers, under .bench_build/)
 #
 # Every stage must pass; the script stops at the first failure.
 # A toolchain without clang still runs stages 2 and 4-6, which are the
@@ -193,6 +197,20 @@ python3 tools/check_bench_json.py \
     "${BENCH_OUT}/BENCH_serve_throughput.json" \
     "${BENCH_OUT}/BENCH_serve_load.json"
 
+step "negative: a benchmark list request times nothing and writes nothing"
+LIST_DIR="$(mktemp -d)"
+( cd "${LIST_DIR}" &&
+  "${ROOT}/build/release/bench/micro_kernels" --benchmark_list_tests \
+      >/dev/null )
+if [ -n "$(ls -A "${LIST_DIR}")" ]; then
+    echo "ci: micro_kernels --benchmark_list_tests wrote files:" >&2
+    ls -A "${LIST_DIR}" >&2
+    rm -rf "${LIST_DIR}"
+    exit 1
+fi
+rm -rf "${LIST_DIR}"
+echo "micro_kernels --benchmark_list_tests: wrote nothing (OK)"
+
 step "negative: malformed env knobs must hard-error, not fall back"
 if SOFTREC_BENCH_SEQLEN=lots ./build/release/bench/micro_simd \
     >/dev/null 2>&1; then
@@ -224,5 +242,25 @@ if SOFTREC_SERVE_PREFILL_CHUNK=weasel SOFTREC_BENCH_SEQLEN=64 \
     exit 1
 fi
 echo "SOFTREC_SERVE_PREFILL_CHUNK=weasel: rejected (OK)"
+
+step "servebench: self-test, then a 5 s long_prompt run whose output check passes"
+# servebench compiles its own copy of src/ against the kernel headers
+# (under .bench_build/) and refuses to start while any SOFTREC_*
+# variable is set, so it runs with every such variable removed.
+SERVE_ENV=(env)
+for var in $(compgen -e | grep '^SOFTREC_' || true); do
+    SERVE_ENV+=(-u "${var}")
+done
+"${SERVE_ENV[@]}" python3 servebench/run.py --self-test
+SERVE_RESULT="$("${SERVE_ENV[@]}" python3 servebench/run.py \
+    --workload long_prompt --seed 1 --seconds 5 --trace 0 | tail -n 1)"
+if ! python3 -c 'import json, sys
+sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
+    "${SERVE_RESULT}"; then
+    echo "ci: servebench long_prompt did not report \"correct\": true" >&2
+    echo "${SERVE_RESULT}" >&2
+    exit 1
+fi
+echo "servebench long_prompt: correct (OK)"
 
 printf '\n=== ci: all gates passed ===\n'

@@ -15,7 +15,8 @@
  * numeric contracts from Eq. (2) of the paper: no NaN poison in
  * kernel operands, reconstruction factors r' in [0, 1] (zero only for
  * fully masked sub-vectors), and post-GS probability rows summing
- * to ~1. They panic unconditionally when called; call sites gate on
+ * to ~1, and causally masked scores where a kernel skips the masked
+ * tail. They panic unconditionally when called; call sites gate on
  * `if constexpr (kCheckedBuild)`.
  */
 
@@ -98,6 +99,33 @@ checkRowSumsNearOne(const TensorT &y, const char *what)
             panic("%s: row %lld sums to %.6f, expected ~1 "
                   "(or 0 for a fully masked row)",
                   what, (long long)i, sum);
+        }
+    }
+}
+
+/**
+ * Panic unless every entry past the diagonal (column j > row i) of a
+ * rank-2 score matrix is -inf. A causal kernel skips those entries;
+ * on unmasked scores it would silently drop real ones.
+ */
+template <typename TensorT>
+void
+checkCausallyMasked(const TensorT &s, const char *what)
+{
+    if (s.shape().rank() != 2) {
+        panic("%s: causal-mask check needs rank 2, got %s", what,
+              s.shape().toString().c_str());
+    }
+    const int64_t rows = s.shape().dim(0);
+    const int64_t cols = s.shape().dim(1);
+    for (int64_t i = 0; i < rows; ++i) {
+        for (int64_t j = i + 1; j < cols; ++j) {
+            const float v = float(s.at(i, j));
+            if (!(std::isinf(v) && v < 0.0f)) {
+                panic("%s: score %f at (%lld, %lld) is past the "
+                      "diagonal but not masked to -inf",
+                      what, double(v), (long long)i, (long long)j);
+            }
         }
     }
 }

@@ -65,6 +65,9 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     av.n = dh;
     av.k = kv;
     av.tiling = config.attnTiling;
+    // Causal P (or X') rows are zero past the diagonal; qk's mask
+    // likewise skips the tiles wholly above it (see gemmRun).
+    av.prologue.causalA = config.causalMask;
 
     GemmOperands qk_ops;
     qk_ops.a = &inputs.q;
@@ -88,6 +91,7 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
         SoftmaxShape softmax;
         softmax.rows = L;
         softmax.cols = kv;
+        softmax.causal = config.causalMask;
         rowSoftmaxRun(ctx, softmax, scores, probs);
         GemmOperands av_ops;
         av_ops.a = &probs;

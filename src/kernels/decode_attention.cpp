@@ -10,13 +10,15 @@
  *    order of the packed GEMM micro-kernel (which accumulates
  *    k-ascending whatever the tiling) and its epilogue/store.
  *  - softmax: safeSoftmax (kernels/softmax_row.hpp), the call
- *    rowSoftmaxRun makes per row. The prefill row additionally carries exp(-inf)=0
- *    terms for the causally masked tail; appending exact zeros to a
- *    running fp32 sum does not change its bits, so the shorter row
- *    here produces identical probabilities.
+ *    rowSoftmaxRun makes per row. A causal prefill row runs it over
+ *    its first i + 1 entries, exactly the context here, and stores
+ *    zeros for the masked tail (were the tail computed, its
+ *    exp(-inf) = +0 terms would leave the fp32 sum's bits unchanged).
  *  - output: fp32 accumulation in ascending key order per element —
- *    the micro-kernel's k-ascending order for the P.V GEMM, whose
- *    masked tail contributes p = 0 terms that are bit-level no-ops.
+ *    the micro-kernel's k-ascending order for the P.V GEMM, which
+ *    stops each strip at its last row's diagonal; the p = 0 terms
+ *    that strip still adds past a row's own diagonal are bit-level
+ *    no-ops, so its depth matches the context here.
  *
  * All Half<->float conversions use the batch converters, which are
  * bit-identical to scalar conversion on every backend.

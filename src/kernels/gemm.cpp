@@ -238,25 +238,43 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     const bool scaled = desc.epilogue.scale != 1.0;
     const float *bias = desc.epilogue.bias ? ops.bias->data() : nullptr;
 
+    // Depth of rows [m0, m0 + mh): a causal A is zero past each row's
+    // diagonal, so the strip stops at its last row's.
+    auto stripDepth = [&](int64_t m0, int64_t mh) {
+        return desc.prologue.causalA ? std::min(k, m0 + mh) : k;
+    };
+    // Under the causal mask, an n-tile starting past the strip's last
+    // row is fully masked: every product would be overwritten.
+    auto maskedTile = [&](int64_t m0, int64_t mh, int64_t n0) {
+        return desc.epilogue.causalMask && n0 > m0 + mh - 1;
+    };
+
     // One m-tile strip of output: all n-tiles for rows [m0, m0 + mh).
     // The strip's A rows are converted (and GS-scaled) once into abuf;
     // every n-tile below reuses those fp32 rows.
     auto runStrip = [&](int64_t m0, std::vector<float> &abuf,
                         std::vector<float> &acc) {
         const int64_t mh = std::min(t.tileM, m - m0);
+        const int64_t kd = stripDepth(m0, mh);
         for (int64_t i = 0; i < mh; ++i) {
             float *arow = &abuf[size_t(i * k)];
-            halfToFloat(ops.a->rowPtr(m0 + i), arow, k);
+            halfToFloat(ops.a->rowPtr(m0 + i), arow, kd);
             if (desc.prologue.globalScale)
-                globalScale(arow, k, ops.gsFactors->rowPtr(m0 + i),
+                globalScale(arow, kd, ops.gsFactors->rowPtr(m0 + i),
                             gs_sub);
         }
         for (int64_t tn = 0; tn < tiles_n; ++tn) {
             const int64_t n0 = tn * t.tileN;
             const int64_t nw = std::min(t.tileN, n - n0);
-            microGemm(abuf.data(), k,
-                      &bpack[size_t(tn) * size_t(k) * size_t(t.tileN)],
-                      t.tileN, acc.data(), t.tileN, mh, nw, k);
+            // A fully masked tile skips the multiply and the scale:
+            // the mask pass below writes -inf over all of it.
+            const bool masked = maskedTile(m0, mh, n0);
+            if (!masked) {
+                microGemm(abuf.data(), k,
+                          &bpack[size_t(tn) * size_t(k) *
+                                 size_t(t.tileN)],
+                          t.tileN, acc.data(), t.tileN, mh, nw, kd);
+            }
 
             // Epilogue on the fp32 tile, one pass per configured step
             // so each loop vectorizes. Per element the order is still
@@ -264,7 +282,7 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
             // converter per row.
             for (int64_t i = 0; i < mh; ++i) {
                 float *row = &acc[size_t(i * t.tileN)];
-                if (scaled) {
+                if (scaled && !masked) {
                     for (int64_t j = 0; j < nw; ++j)
                         row[j] *= scale;
                 }
@@ -311,16 +329,24 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
         for (int64_t strip = strip0; strip < strip1; ++strip) {
             const int64_t m0 = strip * t.tileM;
             if (scope.active()) {
-                const uint64_t mh = uint64_t(std::min(t.tileM, m - m0));
-                scope.addRead(mh * uint64_t(k) * kFp16Bytes);
+                const int64_t rows = std::min(t.tileM, m - m0);
+                const uint64_t mh = uint64_t(rows);
+                const uint64_t kd = uint64_t(stripDepth(m0, rows));
+                int64_t cols = 0; // columns the micro-kernel computes
+                for (int64_t n0 = 0; n0 < n; n0 += t.tileN) {
+                    if (!maskedTile(m0, rows, n0))
+                        cols += std::min(t.tileN, n - n0);
+                }
+                scope.addRead(mh * kd * kFp16Bytes);
                 scope.addWrite(mh * uint64_t(n) * kFp16Bytes);
-                scope.addFlops(2 * mh * uint64_t(n) * uint64_t(k));
+                scope.addFlops(2 * mh * uint64_t(cols) * kd);
                 if (ls_scope) // m'/d' per (row, sub-vector)
                     ls_scope->addWrite(mh * uint64_t(tiles_n) * 2 *
                                        kFp32Bytes);
                 if (gs_scope) // r' per (row, incoming sub-vector)
                     gs_scope->addRead(
-                        mh * uint64_t(ceilDiv(k, gs_sub)) * kFp32Bytes);
+                        mh * uint64_t(ceilDiv(int64_t(kd), gs_sub)) *
+                        kFp32Bytes);
             }
             runStrip(m0, abuf, acc);
         }

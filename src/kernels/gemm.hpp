@@ -63,6 +63,13 @@ struct GemmPrologue
     bool globalScale = false; //!< fused GS sub-layer (SDF)
     /** Sub-vector width T the incoming X' was produced with. */
     int64_t gsSubVector = 64;
+    /**
+     * Row i of A is zero past column i (a causal P or X'), so rows
+     * [m0, m0 + mh) need only the first m0 + mh columns of A and rows
+     * of B: the skipped terms are p = 0 products, which leave an fp32
+     * sum that started at +0 bit-for-bit unchanged.
+     */
+    bool causalA = false;
 };
 
 /** Full description of one (possibly batched) GEMM launch. */
@@ -115,6 +122,14 @@ struct GemmOperands
  * rounded to fp16 on store. Parallelizes over m-tile strips; each
  * strip owns its accumulator and writes disjoint output rows, so
  * results are bit-identical for any thread count.
+ *
+ * Causal work is skipped without changing a bit: with
+ * epilogue.causalMask, a tile whose first column lies past the
+ * strip's last row is neither multiplied nor scaled (the mask would
+ * overwrite every product with -inf, and still does), and with
+ * prologue.causalA the strip's depth stops at its last row's
+ * diagonal. The profiler is credited with the FLOPs and A bytes
+ * actually used.
  *
  * @param ctx execution context (serial when default-constructed)
  * @param desc launch description (batch must be 1)

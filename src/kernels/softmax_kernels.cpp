@@ -73,25 +73,39 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
     const Shape expect({desc.rows, desc.cols});
     SOFTREC_ASSERT(in.shape() == expect && out.shape() == expect,
                    "softmax shapes must be [rows, cols]");
-    if constexpr (kCheckedBuild)
+    if constexpr (kCheckedBuild) {
         checkFinite(in, "rowSoftmax input", /*allow_neg_inf=*/true);
+        if (desc.causal)
+            checkCausallyMasked(in, "causal rowSoftmax input");
+    }
+    // A causal row's masked tail adds exp(-inf) = +0 terms to a sum
+    // that started at +0 and divides to +0: it is skipped, not
+    // computed, and stored as fp16 +0.
+    const auto width = [&](int64_t i) {
+        return desc.causal ? std::min(desc.cols, i + 1) : desc.cols;
+    };
     prof::Scope scope(ctx, "softmax.row");
     parallelFor(ctx, 0, desc.rows, kRowGrain,
                 [&](int64_t row0, int64_t row1) {
         if (scope.active()) {
-            const uint64_t matrix =
-                uint64_t(row1 - row0) * uint64_t(desc.cols) * kFp16Bytes;
-            scope.addRead(matrix);
-            scope.addWrite(matrix);
+            uint64_t read = 0;
+            for (int64_t i = row0; i < row1; ++i)
+                read += uint64_t(width(i)) * kFp16Bytes;
+            scope.addRead(read);
+            scope.addWrite(uint64_t(row1 - row0) * uint64_t(desc.cols) *
+                           kFp16Bytes);
         }
         // Row staged once in fp32; exp(x - m) is stored back into the
         // staging row during the normalizer pass and reused by the
         // scale pass, so each element pays for one exp, not two.
         std::vector<float> row(size_t(desc.cols));
         for (int64_t i = row0; i < row1; ++i) {
-            halfToFloat(in.rowPtr(i), row.data(), desc.cols);
-            const SoftmaxStats st = safeSoftmax(row.data(), desc.cols);
-            floatToHalf(row.data(), out.rowPtr(i), desc.cols);
+            const int64_t w = width(i);
+            halfToFloat(in.rowPtr(i), row.data(), w);
+            const SoftmaxStats st = safeSoftmax(row.data(), w);
+            floatToHalf(row.data(), out.rowPtr(i), w);
+            std::fill(out.rowPtr(i) + w, out.rowPtr(i) + desc.cols,
+                      Half());
             SOFTREC_CHECK(st.d > 0.0f || st.m == kNegInf,
                           "row %lld normalizer d = %f must be positive "
                           "for an unmasked row",

@@ -39,6 +39,12 @@ struct SoftmaxShape
     int64_t rows = 0;       //!< attention rows (L)
     int64_t cols = 0;       //!< attention columns (L)
     int64_t subVector = 0;  //!< sub-vector width T; 0 = whole-row
+    /**
+     * rowSoftmaxRun only: the scores are causally masked (-inf past
+     * the diagonal), so row i reads its first min(cols, i + 1) entries
+     * and writes zeros over the rest, bit-identical to the full row.
+     */
+    bool causal = false;
 
     /** Number of sub-vectors per row (N_sv = ceil(L / T)). */
     int64_t numSubVectors() const;

@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "common/check.hpp"
@@ -41,11 +42,13 @@ struct SoftmaxStats
 
 namespace softmax_detail {
 
-/** Max of x[0, n), ascending from -inf. In checked builds, rejects
- *  NaN: std::max(-inf, NaN) keeps -inf, so an all-NaN segment would
- *  otherwise pass as fully masked. */
+/** Four-lane float vector (GCC vector extension, one SSE/NEON register). */
+typedef float Vec4 __attribute__((vector_size(16)));
+inline constexpr int64_t kLanes = 4;
+
+/** Max of x[0, n), ascending from -inf, with std::max(m, x) per step. */
 inline float
-segmentMax(const float *x, int64_t n)
+scalarMax(const float *x, int64_t n)
 {
     float m = kNegInf;
     for (int64_t j = 0; j < n; ++j) {
@@ -55,6 +58,34 @@ segmentMax(const float *x, int64_t n)
         m = std::max(m, x[j]);
     }
     return m;
+}
+
+/**
+ * Max of x[0, n). In checked builds, the scalar loop rejects NaN:
+ * std::max(-inf, NaN) keeps -inf, so an all-NaN segment would
+ * otherwise pass as fully masked. Release builds take the max lane by
+ * lane with the same step m = m < x ? x : m, which skips NaN exactly
+ * as std::max(m, x) does; a max is order-free except for the sign of
+ * a zero result, so an exact 0 is recomputed in ascending order.
+ */
+inline float
+segmentMax(const float *x, int64_t n)
+{
+    if constexpr (kCheckedBuild)
+        return scalarMax(x, n);
+    Vec4 mv = {kNegInf, kNegInf, kNegInf, kNegInf};
+    int64_t j = 0;
+    for (; j + kLanes <= n; j += kLanes) {
+        Vec4 v;
+        std::memcpy(&v, x + j, sizeof(v));
+        mv = mv < v ? v : mv;
+    }
+    float m = kNegInf;
+    for (int64_t l = 0; l < kLanes; ++l)
+        m = std::max(m, mv[l]);
+    for (; j < n; ++j)
+        m = std::max(m, x[j]);
+    return m == 0.0f ? scalarMax(x, n) : m;
 }
 
 /** x <- exp(x - m) for a finite m; returns the sum, ascending from +0. */
@@ -90,8 +121,20 @@ inline SoftmaxStats
 safeSoftmax(float *x, int64_t n)
 {
     const SoftmaxStats st = localSoftmax(x, n);
-    for (int64_t j = 0; j < n; ++j)
-        x[j] = st.d > 0.0f ? x[j] / st.d : 0.0f;
+    if (!(st.d > 0.0f)) {
+        std::fill(x, x + n, 0.0f);
+        return st;
+    }
+    // Division rounds per element, so the vector width is invisible.
+    int64_t j = 0;
+    for (; j + softmax_detail::kLanes <= n; j += softmax_detail::kLanes) {
+        softmax_detail::Vec4 v;
+        std::memcpy(&v, x + j, sizeof(v));
+        v /= st.d;
+        std::memcpy(x + j, &v, sizeof(v));
+    }
+    for (; j < n; ++j)
+        x[j] /= st.d;
     return st;
 }
 

@@ -6,11 +6,13 @@
  * reference.
  */
 
+#include <algorithm>
 #include <tuple>
 
 #include <gtest/gtest.h>
 
 #include "common/exec_context.hpp"
+#include "common/profiler.hpp"
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
 #include "sparse/patterns.hpp"
@@ -118,6 +120,50 @@ TEST(DenseStrategies, CausalFirstRowAttendsOnlyToItself)
                 << strategyName(strategy);
         }
     }
+}
+
+TEST(DenseStrategies, CausalProfileCreditsOnlyLowerTriangleWork)
+{
+    // Strips of 16 rows over 16-wide tiles at L = 100: qk multiplies
+    // only the tiles up to each strip's last row, av stops each strip
+    // at that row's diagonal, and softmax.row reads rows up to it.
+    SdaConfig config;
+    config.seqLen = 100;
+    config.dHead = 16;
+    config.causalMask = true;
+    config.subVector = 16;
+    config.attnTiling.tileM = 16;
+    config.attnTiling.tileN = 16;
+    const int64_t l = config.seqLen, dh = config.dHead;
+    uint64_t lower = 0; // sum over strips of rows x (last row + 1)
+    for (int64_t m0 = 0; m0 < l; m0 += 16) {
+        const int64_t mh = std::min<int64_t>(16, l - m0);
+        lower += uint64_t(mh * (m0 + mh));
+    }
+    const uint64_t full = uint64_t(l * l);
+    ASSERT_LT(lower, full);
+    const AttentionInputs inputs = randomInputs(config, 9);
+    for (Strategy strategy : allStrategies()) {
+        SCOPED_TRACE(strategyName(strategy));
+        prof::Profiler profiler;
+        ExecContext ctx = execCtx();
+        ctx.profiler = &profiler;
+        runAttention(ctx, config, inputs, strategy);
+        EXPECT_EQ(profiler.statsFor("sda.qk").flops,
+                  2 * lower * uint64_t(dh));
+        EXPECT_EQ(profiler.statsFor("sda.av").flops,
+                  2 * lower * uint64_t(dh));
+        EXPECT_EQ(profiler.statsFor("sda.av").bytesRead,
+                  (lower + uint64_t(l * dh)) * kFp16Bytes);
+    }
+    prof::Profiler profiler;
+    ExecContext ctx = execCtx();
+    ctx.profiler = &profiler;
+    runAttention(ctx, config, inputs, Strategy::Baseline);
+    EXPECT_EQ(profiler.statsFor("softmax.row").bytesRead,
+              uint64_t(l * (l + 1) / 2) * kFp16Bytes);
+    EXPECT_EQ(profiler.statsFor("softmax.row").bytesWritten,
+              full * kFp16Bytes);
 }
 
 class SparseStrategies : public ::testing::TestWithParam<int>

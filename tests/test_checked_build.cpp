@@ -154,6 +154,24 @@ TEST(CheckedBuild, AllNanSegmentIsNotAMaskedSegment)
                  std::logic_error);
 }
 
+TEST(CheckedBuild, CausalSoftmaxRejectsUnmaskedScores)
+{
+    // A causal rowSoftmaxRun skips every entry past the diagonal; it
+    // checks first that those entries really are -inf.
+    Tensor<Half> scores(Shape({4, 6}));
+    for (int64_t i = 0; i < 4; ++i)
+        for (int64_t j = 0; j < 6; ++j)
+            scores.at(i, j) = Half(j > i ? -kInf : 0.5f * float(j));
+    checkCausallyMasked(scores, "masked scores");
+    scores.at(1, 5) = Half(0.25f);
+    EXPECT_THROW(checkCausallyMasked(scores, "unmasked scores"),
+                 std::logic_error);
+    scores.at(1, 5) = Half(-kInf);
+    scores.at(2, 3) = Half(kNan);
+    EXPECT_THROW(checkCausallyMasked(scores, "NaN past the diagonal"),
+                 std::logic_error);
+}
+
 TEST(CheckedBuild, RecompositionPipelineRunsCleanUnderChecks)
 {
     // The LS -> IR -> GS pipeline on a masked input must pass every

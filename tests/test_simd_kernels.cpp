@@ -5,7 +5,8 @@
  * SIMD backends (including NaN payloads, infinities, subnormals, and
  * rounding boundaries), the packed-panel GEMM must match the naive
  * reference at ragged shapes under both backends and a scalar triple
- * loop of the same arithmetic bit for bit, and kernels built on the
+ * loop of the same arithmetic bit for bit, the causal fast paths must
+ * match the full-work paths bit for bit, and kernels built on the
  * substrate must stay deterministic across thread counts.
  */
 
@@ -524,6 +525,161 @@ TEST(PackedGemm, BitIdenticalAcrossThreadCounts)
             ASSERT_EQ(serial.data()[i].bits(),
                       threaded.data()[i].bits())
                 << "threads=" << threads << " elem=" << i;
+    }
+}
+
+// --- Causal fast path: skipped work is invisible in the bits -------
+
+/** Causal prompt lengths, ragged against the 16-wide tiles. */
+constexpr int64_t kCausalLengths[] = {1, 15, 16, 17, 37, 100};
+
+/** N(0, 2) scores on and below the diagonal, -inf above it. */
+Tensor<Half>
+causalScores(int64_t l, Rng &rng)
+{
+    Tensor<Half> s(Shape({l, l}));
+    fillNormal(s, rng, 0.0, 2.0);
+    for (int64_t i = 0; i < l; ++i)
+        for (int64_t j = i + 1; j < l; ++j)
+            s.at(i, j) = Half::fromBits(0xfc00);
+    return s;
+}
+
+/** Success when a and b hold the same fp16 bits, else the first miss. */
+::testing::AssertionResult
+sameBits(const Tensor<Half> &got, const Tensor<Half> &want)
+{
+    if (got.shape() != want.shape())
+        return ::testing::AssertionFailure() << "shapes differ";
+    for (int64_t i = 0; i < got.numel(); ++i) {
+        if (got.data()[i].bits() != want.data()[i].bits()) {
+            return ::testing::AssertionFailure()
+                   << "elem " << i << ": 0x" << std::hex
+                   << got.data()[i].bits() << " != 0x"
+                   << want.data()[i].bits();
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(CausalFastPath, RowSoftmaxSkipsMaskedTailBitForBit)
+{
+    uint64_t seed = 900;
+    for (const int64_t l : kCausalLengths) {
+        Rng rng(seed++);
+        const Tensor<Half> scores = causalScores(l, rng);
+        SoftmaxShape full;
+        full.rows = l;
+        full.cols = l;
+        SoftmaxShape causal = full;
+        causal.causal = true;
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            Tensor<Half> want(scores.shape()), got(scores.shape());
+            withBackend(backend, [&] {
+                rowSoftmaxRun(ExecContext::fromEnv(), full, scores, want);
+                rowSoftmaxRun(ExecContext::fromEnv(), causal, scores, got);
+            });
+            ASSERT_TRUE(sameBits(got, want))
+                << "L=" << l << " backend=" << simdBackendName(backend);
+        }
+    }
+}
+
+TEST(CausalFastPath, MaskedQkTilesMatchTheMaskedFullProduct)
+{
+    // Tiles wholly above the diagonal are filled, not multiplied; the
+    // stored scores must equal the unmasked product's, masked after.
+    uint64_t seed = 920;
+    for (const int64_t l : kCausalLengths)
+    for (const int64_t tile_m : {16, 64}) {
+        Rng rng(seed++);
+        Tensor<Half> q(Shape({l, 16})), k(Shape({l, 16}));
+        fillNormal(q, rng, 0.0, 0.8);
+        fillNormal(k, rng, 0.0, 0.8);
+        GemmDesc plain;
+        plain.m = l;
+        plain.n = l;
+        plain.k = 16;
+        plain.tiling.tileM = tile_m;
+        plain.tiling.tileN = 16;
+        plain.epilogue.scale = 0.25;
+        GemmDesc causal = plain;
+        causal.epilogue.causalMask = true;
+        GemmOperands ops;
+        ops.a = &q;
+        ops.b = &k;
+        ops.transposeB = true;
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            Tensor<Half> want(Shape({l, l})), got(Shape({l, l}));
+            withBackend(backend, [&] {
+                gemmRun(ExecContext::fromEnv(), plain, ops, want);
+                gemmRun(ExecContext::fromEnv(), causal, ops, got);
+            });
+            for (int64_t i = 0; i < l; ++i)
+                for (int64_t j = i + 1; j < l; ++j)
+                    want.at(i, j) = Half::fromBits(0xfc00);
+            ASSERT_TRUE(sameBits(got, want))
+                << "L=" << l << " tileM=" << tile_m
+                << " backend=" << simdBackendName(backend);
+        }
+    }
+}
+
+TEST(CausalFastPath, CausalADepthMatchesFullDepth)
+{
+    // P.V with a causal P (plain), and X'.V with the GS prologue
+    // (SDF): stopping each strip at its diagonal drops only p = 0
+    // terms, so the output bits match the full-depth product.
+    constexpr int64_t kDHead = 19; // ragged against the 16-wide tile
+    constexpr int64_t kSub = 8;    // T of the LS that made X'
+    uint64_t seed = 940;
+    for (const int64_t l : kCausalLengths)
+    for (const int64_t tile_m : {16, 64})
+    for (const bool gs : {false, true}) {
+        Rng rng(seed++);
+        const Tensor<Half> scores = causalScores(l, rng);
+        Tensor<Half> v(Shape({l, kDHead}));
+        fillNormal(v, rng, 0.0, 0.8);
+        SoftmaxShape sm;
+        sm.rows = l;
+        sm.cols = l;
+        sm.subVector = kSub;
+        const Shape md({l, sm.numSubVectors()});
+        Tensor<Half> a(Shape({l, l}));
+        Tensor<float> local_max(md), local_sum(md), recon(md);
+        if (gs) {
+            lsRun(ExecContext(), sm, scores, a, local_max, local_sum);
+            irRun(ExecContext(), sm, local_max, local_sum, recon);
+        } else {
+            rowSoftmaxRun(ExecContext(), sm, scores, a);
+        }
+        GemmDesc full;
+        full.m = l;
+        full.n = kDHead;
+        full.k = l;
+        full.tiling.tileM = tile_m;
+        full.tiling.tileN = 16;
+        full.prologue.globalScale = gs;
+        full.prologue.gsSubVector = kSub;
+        GemmDesc causal = full;
+        causal.prologue.causalA = true;
+        GemmOperands ops;
+        ops.a = &a;
+        ops.b = &v;
+        ops.gsFactors = gs ? &recon : nullptr;
+        for (const SimdBackend backend :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            Tensor<Half> want(Shape({l, kDHead})), got(Shape({l, kDHead}));
+            withBackend(backend, [&] {
+                gemmRun(ExecContext::fromEnv(), full, ops, want);
+                gemmRun(ExecContext::fromEnv(), causal, ops, got);
+            });
+            ASSERT_TRUE(sameBits(got, want))
+                << "L=" << l << " tileM=" << tile_m << " gs=" << gs
+                << " backend=" << simdBackendName(backend);
+        }
     }
 }
 

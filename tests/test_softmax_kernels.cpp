@@ -1,18 +1,26 @@
 /**
  * @file
  * Tests of the dense softmax kernels: the baseline row softmax and the
- * decomposed LS/IR/GS pipeline, functionally and at the profile level.
+ * decomposed LS/IR/GS pipeline, functionally and at the profile level,
+ * and the vectorized max pass shared by every softmax step.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <stdexcept>
 #include <tuple>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/check.hpp"
 #include "common/exec_context.hpp"
 #include "common/rng.hpp"
 #include "core/softmax_math.hpp"
 #include "kernels/softmax_kernels.hpp"
+#include "kernels/softmax_row.hpp"
 #include "sim/calibration.hpp"
 #include "sim/cost_model.hpp"
 #include "tensor/tensor_ops.hpp"
@@ -90,6 +98,147 @@ TEST(RowSoftmax, FullyMaskedRowIsZero)
     for (int64_t j = 0; j < 4; ++j)
         EXPECT_TRUE(out.at(0, j).isZero());
     EXPECT_GT(float(out.at(1, 3)), float(out.at(1, 0)));
+}
+
+TEST(RowSoftmax, CausalRejectsUnmaskedScoresInCheckedBuild)
+{
+    // A causal row skips its tail; on unmasked scores that would drop
+    // real scores instead of -inf ones.
+    if (!kCheckedBuild)
+        GTEST_SKIP() << "mask checks are compiled into checked builds";
+    Rng rng(3);
+    const Tensor<Half> in = makeAttentionScores(rng, 8, 8);
+    Tensor<Half> out(in.shape());
+    SoftmaxShape desc;
+    desc.rows = 8;
+    desc.cols = 8;
+    desc.causal = true;
+    EXPECT_THROW(rowSoftmaxRun(execCtx(), desc, in, out),
+                 std::logic_error);
+}
+
+// --- The vectorized max pass against the scalar std::max loop ------
+
+/** Ascending std::max(m, x) from -inf: the order every max must match. */
+float
+scalarMax(const std::vector<float> &x)
+{
+    float m = -std::numeric_limits<float>::infinity();
+    for (const float v : x)
+        m = std::max(m, v);
+    return m;
+}
+
+/** Raw bits, so -0 and +0 compare unequal. */
+uint32_t
+bitsOf(float value)
+{
+    uint32_t bits;
+    std::memcpy(&bits, &value, sizeof(bits));
+    return bits;
+}
+
+/** segmentMax(x) must equal scalarMax(x) bit for bit. */
+::testing::AssertionResult
+maxMatchesScalar(const std::vector<float> &x)
+{
+    const float got = softmax_detail::segmentMax(x.data(), int64_t(x.size()));
+    const float want = scalarMax(x);
+    if (bitsOf(got) == bitsOf(want))
+        return ::testing::AssertionSuccess();
+    ::testing::AssertionResult fail = ::testing::AssertionFailure();
+    fail << "n=" << x.size() << " got " << got << " (0x" << std::hex
+         << bitsOf(got) << ") want " << want << " (0x" << bitsOf(want)
+         << ") for {";
+    for (const float v : x)
+        fail << v << ",";
+    return fail << "}";
+}
+
+/** n values mixing signs, magnitudes, zeros and -inf. */
+std::vector<float>
+mixedValues(Rng &rng, int64_t n)
+{
+    std::vector<float> x(static_cast<size_t>(n));
+    for (float &v : x) {
+        switch (rng.uniformInt(5)) {
+          case 0: v = -std::numeric_limits<float>::infinity(); break;
+          case 1: v = rng.uniformInt(2) ? 0.0f : -0.0f; break;
+          default: v = float(rng.normal(0.0, 4.0)); break;
+        }
+    }
+    return x;
+}
+
+TEST(SegmentMax, MatchesScalarLoopAtEveryShortLength)
+{
+    Rng rng(31);
+    for (int64_t n = 0; n <= 9; ++n)
+        for (int trial = 0; trial < 50; ++trial)
+            ASSERT_TRUE(maxMatchesScalar(mixedValues(rng, n)));
+}
+
+TEST(SegmentMax, MatchesScalarLoopOnRaggedSegments)
+{
+    Rng rng(32);
+    for (int trial = 0; trial < 400; ++trial) {
+        const int64_t n = int64_t(rng.uniformInt(300));
+        std::vector<float> x = mixedValues(rng, n);
+        if (trial % 2 == 0) // mostly negative: a zero max is likely
+            for (float &v : x)
+                v = v > 0.0f ? -v : v;
+        ASSERT_TRUE(maxMatchesScalar(x));
+    }
+}
+
+TEST(SegmentMax, SignedZeroMaxKeepsScalarOrder)
+{
+    // max(-0, +0) keeps whichever zero comes first, so the zero pair
+    // is placed inside the first vector block and past it, with every
+    // other entry negative so the pair decides the result.
+    for (int64_t n = 2; n <= 13; ++n) {
+        for (int64_t p = 0; p + 1 < n; ++p) {
+            for (const bool neg_first : {true, false}) {
+                std::vector<float> x(size_t(n), -1.5f);
+                x[size_t(p)] = neg_first ? -0.0f : 0.0f;
+                x[size_t(p + 1)] = neg_first ? 0.0f : -0.0f;
+                ASSERT_TRUE(maxMatchesScalar(x)) << "pair at " << p;
+                // The pair split across lanes and blocks.
+                std::vector<float> y(size_t(n), -1.5f);
+                y[size_t(p)] = x[size_t(p)];
+                y[size_t(n - 1)] = x[size_t(p + 1)];
+                ASSERT_TRUE(maxMatchesScalar(y)) << "split at " << p;
+            }
+        }
+    }
+}
+
+TEST(SegmentMax, AllNegInfSegmentIsMasked)
+{
+    for (const int64_t n : {1, 3, 4, 5, 8, 9, 17, 64}) {
+        const std::vector<float> x(
+            size_t(n), -std::numeric_limits<float>::infinity());
+        ASSERT_TRUE(maxMatchesScalar(x));
+        EXPECT_EQ(softmax_detail::segmentMax(x.data(), n), kNegInf);
+    }
+}
+
+TEST(SegmentMax, NanIsSkippedAsStdMaxSkipsItInRelease)
+{
+    // std::max(m, NaN) keeps m: release builds ignore NaN wherever it
+    // sits (checked builds reject it instead).
+    if (kCheckedBuild)
+        GTEST_SKIP() << "checked builds reject NaN scores";
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    Rng rng(33);
+    for (int64_t n = 1; n <= 13; ++n) {
+        for (int64_t p = 0; p < n; ++p) {
+            std::vector<float> x = mixedValues(rng, n);
+            x[size_t(p)] = nan;
+            ASSERT_TRUE(maxMatchesScalar(x)) << "NaN at " << p;
+        }
+        ASSERT_TRUE(maxMatchesScalar(std::vector<float>(size_t(n), nan)));
+    }
 }
 
 /** LS -> IR -> GS on fp16 storage vs the baseline kernel. */
