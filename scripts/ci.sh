@@ -26,8 +26,9 @@
 #      drives the async engine's producer/consumer threads;
 #      test_streaming_attention runs the tiled kernel's strips;
 #      test_gemm and test_simd_kernels run the packed GEMM's strips;
-#      test_decode and test_prefill_chunk run the parallel
-#      per-(row, head) attention loop of decode and chunked prefill;
+#      test_decode runs the decode step's parallel per-(row, head)
+#      attention loop; test_prefill_chunk runs chunked prefill
+#      through the per-head parallel runAttention;
 #      test_softmax_kernels and test_bsr_kernels run the row- and
 #      block-parallel softmax kernels)
 #   8. bench smoke: micro_kernels, micro_simd, micro_streaming,

@@ -104,13 +104,15 @@ checkRowSumsNearOne(const TensorT &y, const char *what)
 }
 
 /**
- * Panic unless every entry past the diagonal (column j > row i) of a
- * rank-2 score matrix is -inf. A causal kernel skips those entries;
- * on unmasked scores it would silently drop real ones.
+ * Panic unless every entry past the diagonal (column j > row i +
+ * diag_off) of a rank-2 score matrix is -inf. A causal kernel skips
+ * those entries; on unmasked scores it would silently drop real
+ * ones.
  */
 template <typename TensorT>
 void
-checkCausallyMasked(const TensorT &s, const char *what)
+checkCausallyMasked(const TensorT &s, const char *what,
+                    int64_t diag_off = 0)
 {
     if (s.shape().rank() != 2) {
         panic("%s: causal-mask check needs rank 2, got %s", what,
@@ -119,7 +121,7 @@ checkCausallyMasked(const TensorT &s, const char *what)
     const int64_t rows = s.shape().dim(0);
     const int64_t cols = s.shape().dim(1);
     for (int64_t i = 0; i < rows; ++i) {
-        for (int64_t j = i + 1; j < cols; ++j) {
+        for (int64_t j = i + 1 + diag_off; j < cols; ++j) {
             const float v = float(s.at(i, j));
             if (!(std::isinf(v) && v < 0.0f)) {
                 panic("%s: score %f at (%lld, %lld) is past the "

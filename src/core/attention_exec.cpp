@@ -58,6 +58,8 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     qk.tiling = tiling;
     qk.epilogue.scale = config.scale();
     qk.epilogue.causalMask = config.causalMask;
+    // The queries are the last L of the kv keys (SdaConfig::kvLen).
+    qk.causalOffset = kv - L;
 
     GemmDesc av;
     av.name = "sda.av";
@@ -68,6 +70,7 @@ runDense(const ExecContext &ctx, const SdaConfig &config,
     // Causal P (or X') rows are zero past the diagonal; qk's mask
     // likewise skips the tiles wholly above it (see gemmRun).
     av.prologue.causalA = config.causalMask;
+    av.causalOffset = qk.causalOffset;
 
     GemmOperands qk_ops;
     qk_ops.a = &inputs.q;
@@ -222,6 +225,10 @@ Tensor<Half>
 runAttention(const ExecContext &ctx, const SdaConfig &config,
              const AttentionInputs &inputs, Strategy strategy)
 {
+    SOFTREC_ASSERT(!config.causalMask || config.keyLen() >= config.seqLen,
+                   "causal attention needs kvLen (%lld) >= seqLen "
+                   "(%lld): the queries are the last seqLen keys",
+                   (long long)config.keyLen(), (long long)config.seqLen);
     if (config.backend == AttentionBackend::Streaming) {
         if (config.sparse()) {
             fatal("SOFTREC_ATTENTION=streaming supports dense "
@@ -257,6 +264,7 @@ referenceDenseAttention(const SdaConfig &config,
     const int64_t kv = config.keyLen();
     const int64_t dh = config.dHead;
     const double scale = config.scale();
+    const int64_t diag_off = kv - L; // SdaConfig::kvLen's offset rule
     Tensor<float> out(Shape({L, dh}));
     std::vector<double> scores(static_cast<size_t>(kv), 0.0);
     for (int64_t i = 0; i < L; ++i) {
@@ -267,7 +275,7 @@ referenceDenseAttention(const SdaConfig &config,
                      double(float(inputs.k.at(j, d)));
             }
             s *= scale;
-            if (config.causalMask && j > i)
+            if (config.causalMask && j > i + diag_off)
                 s = kNegInfD;
             scores[size_t(j)] = s;
         }

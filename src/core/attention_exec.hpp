@@ -35,7 +35,8 @@ AttentionInputs makeAttentionInputs(const SdaConfig &config);
  * Execute one attention head functionally under a strategy,
  * dispatching on config.layout: dense when null, block-sparse
  * otherwise. config.batch and config.heads are ignored (single
- * problem).
+ * problem). A causal config masks by SdaConfig::kvLen's offset rule
+ * and hard-errors when kvLen < seqLen.
  *
  * @return the attention output, [L, dHead] fp16
  */

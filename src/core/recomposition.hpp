@@ -53,7 +53,11 @@ struct SdaConfig
     /**
      * Key/value sequence length; 0 means "same as seqLen". Differs in
      * encoder-decoder cross-attention, where the decoder's queries
-     * attend over the encoder's hidden states (paper Section 2.1).
+     * attend over the encoder's hidden states (paper Section 2.1),
+     * and in a prefill chunk over the prompt prefix. Under causalMask
+     * the queries are the last seqLen positions: query row i attends
+     * keys j <= i + (keyLen() - seqLen); runAttention rejects a
+     * causal kvLen < seqLen.
      */
     int64_t kvLen = 0;
     int64_t dHead = 64;  //!< per-head hidden size D_head

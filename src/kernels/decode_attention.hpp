@@ -130,30 +130,6 @@ struct KvRowsView
     }
 };
 
-/**
- * View over the first `rows` rows of one contiguous fp16 staging
- * buffer, presented as a single pseudo-block spanning `block_tokens`
- * rows. Chunked prefill attends over its exact (pre-quantization)
- * K/V staging through this, reusing the cache-read kernels
- * unchanged: they address rows only through row()/loadRow(), so a
- * one-block view is indistinguishable from slab blocks and the bits
- * cannot depend on the blocking. `block` must point to a stable
- * `const std::byte *` (the caller owns the pointer cell) whose
- * target buffer outlives the view.
- */
-inline KvRowsView
-contiguousKvView(const std::byte *const *block, int64_t block_tokens,
-                 int64_t row_width, int64_t rows)
-{
-    KvRowsView view;
-    view.blocks = block;
-    view.blockTokens = block_tokens;
-    view.rowWidth = row_width;
-    view.rows = rows;
-    view.dtype = KvDtype::F16;
-    return view;
-}
-
 /** Shape of one cached-decode attention row. */
 struct DecodeAttendDesc
 {

@@ -171,6 +171,10 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                            Shape({m, ceilDiv(k, gs_sub)}),
                        "GS factors missing or misshaped");
     }
+    // Row i keeps columns j <= i + diag (causal mask and causal A).
+    const int64_t diag = desc.causalOffset;
+    SOFTREC_ASSERT(diag >= 0, "%s: negative causal offset %lld",
+                   desc.name.c_str(), (long long)diag);
     const GemmTiling &t = desc.tiling;
     const int64_t tiles_n = ceilDiv(n, t.tileN);
     if (desc.epilogue.localSoftmax) {
@@ -241,12 +245,13 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
     // Depth of rows [m0, m0 + mh): a causal A is zero past each row's
     // diagonal, so the strip stops at its last row's.
     auto stripDepth = [&](int64_t m0, int64_t mh) {
-        return desc.prologue.causalA ? std::min(k, m0 + mh) : k;
+        return desc.prologue.causalA ? std::min(k, m0 + mh + diag) : k;
     };
-    // Under the causal mask, an n-tile starting past the strip's last
-    // row is fully masked: every product would be overwritten.
+    // Under the causal mask, an n-tile starting past the diagonal of
+    // the strip's last row is fully masked: every product would be
+    // overwritten.
     auto maskedTile = [&](int64_t m0, int64_t mh, int64_t n0) {
-        return desc.epilogue.causalMask && n0 > m0 + mh - 1;
+        return desc.epilogue.causalMask && n0 > m0 + mh - 1 + diag;
     };
 
     // One m-tile strip of output: all n-tiles for rows [m0, m0 + mh).
@@ -287,10 +292,11 @@ gemmRun(const ExecContext &ctx, const GemmDesc &desc,
                         row[j] *= scale;
                 }
                 if (desc.epilogue.causalMask) {
-                    // Mask the columns past the diagonal, n0 + j > m0 + i.
-                    const int64_t diag =
-                        std::max<int64_t>(0, m0 + i + 1 - n0);
-                    for (int64_t j = diag; j < nw; ++j)
+                    // Mask the columns past the diagonal,
+                    // n0 + j > m0 + i + diag.
+                    const int64_t first = std::max<int64_t>(
+                        0, m0 + i + 1 + diag - n0);
+                    for (int64_t j = first; j < nw; ++j)
                         row[j] = kNegInf;
                 }
                 if (bias != nullptr) {

@@ -44,7 +44,8 @@ double gemmEfficiencyOf(GemmShapeClass shape_class);
 struct GemmEpilogue
 {
     double scale = 1.0;        //!< multiply outputs (1/sqrt(D_head))
-    bool causalMask = false;   //!< mask j > i to -inf before softmax
+    //! Mask j > i + GemmDesc::causalOffset to -inf before softmax.
+    bool causalMask = false;
     bool bias = false;         //!< add a per-column bias vector
     bool gelu = false;         //!< GeLU activation (FF first GEMM)
     bool localSoftmax = false; //!< fused LS sub-layer (SDF)
@@ -64,10 +65,10 @@ struct GemmPrologue
     /** Sub-vector width T the incoming X' was produced with. */
     int64_t gsSubVector = 64;
     /**
-     * Row i of A is zero past column i (a causal P or X'), so rows
-     * [m0, m0 + mh) need only the first m0 + mh columns of A and rows
-     * of B: the skipped terms are p = 0 products, which leave an fp32
-     * sum that started at +0 bit-for-bit unchanged.
+     * Row i of A is zero past column i + causalOffset (a causal P or
+     * X'), so rows [m0, m0 + mh) need only the first m0 + mh +
+     * causalOffset columns of A and rows of B: the skipped p = 0
+     * products leave an fp32 sum that started at +0 unchanged.
      */
     bool causalA = false;
 };
@@ -85,6 +86,10 @@ struct GemmDesc
     GemmTiling tiling;
     GemmEpilogue epilogue;
     GemmPrologue prologue;
+    //! Diagonal of epilogue.causalMask and prologue.causalA: row i
+    //! keeps columns j <= i + causalOffset (kvLen - seqLen in
+    //! attention, see SdaConfig::kvLen).
+    int64_t causalOffset = 0;
     /** Max/mean work per TB (1.0 for dense). */
     double workImbalance = 1.0;
 };
@@ -125,11 +130,10 @@ struct GemmOperands
  *
  * Causal work is skipped without changing a bit: with
  * epilogue.causalMask, a tile whose first column lies past the
- * strip's last row is neither multiplied nor scaled (the mask would
- * overwrite every product with -inf, and still does), and with
- * prologue.causalA the strip's depth stops at its last row's
- * diagonal. The profiler is credited with the FLOPs and A bytes
- * actually used.
+ * strip's last row's diagonal is neither multiplied nor scaled (the
+ * mask would overwrite every product with -inf, and still does), and
+ * with prologue.causalA the strip's depth stops at that diagonal.
+ * The profiler is credited with the FLOPs and A bytes actually used.
  *
  * @param ctx execution context (serial when default-constructed)
  * @param desc launch description (batch must be 1)

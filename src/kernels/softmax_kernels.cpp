@@ -73,16 +73,24 @@ rowSoftmaxRun(const ExecContext &ctx, const SoftmaxShape &desc,
     const Shape expect({desc.rows, desc.cols});
     SOFTREC_ASSERT(in.shape() == expect && out.shape() == expect,
                    "softmax shapes must be [rows, cols]");
+    // Causal rows are the last `rows` of `cols` positions: row i keeps
+    // columns j <= i + diag_off.
+    const int64_t diag_off = desc.cols - desc.rows;
+    SOFTREC_ASSERT(!desc.causal || diag_off >= 0,
+                   "causal softmax needs cols (%lld) >= rows (%lld)",
+                   (long long)desc.cols, (long long)desc.rows);
     if constexpr (kCheckedBuild) {
         checkFinite(in, "rowSoftmax input", /*allow_neg_inf=*/true);
         if (desc.causal)
-            checkCausallyMasked(in, "causal rowSoftmax input");
+            checkCausallyMasked(in, "causal rowSoftmax input",
+                                diag_off);
     }
     // A causal row's masked tail adds exp(-inf) = +0 terms to a sum
     // that started at +0 and divides to +0: it is skipped, not
     // computed, and stored as fp16 +0.
     const auto width = [&](int64_t i) {
-        return desc.causal ? std::min(desc.cols, i + 1) : desc.cols;
+        return desc.causal ? std::min(desc.cols, i + 1 + diag_off)
+                           : desc.cols;
     };
     prof::Scope scope(ctx, "softmax.row");
     parallelFor(ctx, 0, desc.rows, kRowGrain,

@@ -41,7 +41,8 @@ struct SoftmaxShape
     int64_t subVector = 0;  //!< sub-vector width T; 0 = whole-row
     /**
      * rowSoftmaxRun only: the scores are causally masked (-inf past
-     * the diagonal), so row i reads its first min(cols, i + 1) entries
+     * the diagonal j = i + (cols - rows); cols >= rows, asserted), so
+     * row i reads its first min(cols, i + 1 + cols - rows) entries
      * and writes zeros over the rest, bit-identical to the full row.
      */
     bool causal = false;

@@ -144,6 +144,12 @@ streamingAttentionRun(const ExecContext &ctx,
                    out.shape() == Shape({L, dh}),
                    "streaming attention operand shapes inconsistent "
                    "with the descriptor");
+    // Causal queries are the last L of the kv positions: row i
+    // attends positions [0, i + diag_off].
+    const int64_t diag_off = kv - L;
+    SOFTREC_ASSERT(!desc.causalMask || diag_off >= 0,
+                   "causal streaming attention needs kvLen (%lld) >= "
+                   "seqLen (%lld)", (long long)kv, (long long)L);
     // Unique-operand traffic: K and V are packed (read) once up front
     // on the submitting thread; per-strip q reads and output writes
     // are credited by whichever thread runs the strip. There is no
@@ -203,7 +209,7 @@ streamingAttentionRun(const ExecContext &ctx,
             // diagonal, which is exactly the ragged-tile shape a
             // decode step of the same context sees.
             const int64_t strip_kv =
-                desc.causalMask ? std::min(kv, r0 + rh) : kv;
+                desc.causalMask ? std::min(kv, r0 + rh + diag_off) : kv;
             for (int64_t t0 = 0; t0 < strip_kv; t0 += kStreamKeyTile) {
                 const int64_t w_full =
                     std::min(kStreamKeyTile, kv - t0);
@@ -221,7 +227,7 @@ streamingAttentionRun(const ExecContext &ctx,
                 }
                 for (int64_t i = 0; i < rh; ++i) {
                     const int64_t valid = desc.causalMask
-                        ? std::min(r0 + i + 1, kv)
+                        ? std::min(r0 + i + 1 + diag_off, kv)
                         : kv;
                     if (t0 >= valid)
                         continue;

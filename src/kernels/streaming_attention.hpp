@@ -77,7 +77,9 @@ struct StreamingAttentionDesc
     int64_t seqLen = 0;      //!< query rows L
     int64_t kvLen = 0;       //!< key/value rows
     int64_t dHead = 64;      //!< head width
-    bool causalMask = false; //!< row i attends positions [0, i]
+    //! Row i attends positions [0, i + kvLen - seqLen] (the
+    //! SdaConfig::kvLen offset rule; kvLen >= seqLen, asserted).
+    bool causalMask = false;
     double scale = 1.0;      //!< QK^T scale (1/sqrt(dHead))
 };
 

@@ -35,21 +35,15 @@ checkFunctionalStack(const DecoderStack &stack)
                    "heads must divide dModel");
 }
 
-/** The cached K and V rows one query row attends over. */
-struct KvViews
-{
-    KvRowsView k, v;
-};
-
 /**
- * The attention step of chunked prefill and decode: row r of ws.q
- * attends, head by head, over the K/V rows `views(r)` returns,
- * through the decode kernel of the stack's attention backend.
+ * The attention step of the decode step: row r of ws.q attends, head
+ * by head, over request r's cached layer-`layer` K/V rows through
+ * the decode kernel of the stack's attention backend.
  */
-template <typename RowViews>
 void
 attendRows(const ExecContext &ctx, const FunctionalLayerConfig &config,
-           DecodeStepWorkspace &ws, const RowViews &views)
+           DecodeStepWorkspace &ws, const std::vector<KvCache *> &caches,
+           int64_t layer)
 {
     const int64_t rows = ws.q.shape().dim(0);
     const int64_t heads = config.numHeads;
@@ -67,7 +61,7 @@ attendRows(const ExecContext &ctx, const FunctionalLayerConfig &config,
     // (row, head) attention problems are independent, writing
     // disjoint output slices; grain 1 mirrors the encoder layer's
     // per-head parallelism. Staging buffers come from the
-    // per-worker-slot pool: chunks on the same worker run
+    // per-worker-slot pool: rows on the same worker run
     // sequentially, so the slot's workspace is never shared, and its
     // contents are dead between calls.
     parallelFor(ctx, 0, rows * heads, 1, [&](int64_t i0, int64_t i1) {
@@ -78,8 +72,9 @@ attendRows(const ExecContext &ctx, const FunctionalLayerConfig &config,
             const int64_t h = i % heads;
             DecodeAttendDesc head = attend;
             head.headOffset = h * dh;
-            const KvViews kv = views(r);
-            attend_row(ctx, head, ws.q.rowPtr(r) + h * dh, kv.k, kv.v,
+            const KvCache &cache = *caches[size_t(r)];
+            attend_row(ctx, head, ws.q.rowPtr(r) + h * dh,
+                       cache.kView(layer), cache.vView(layer),
                        ws.attention.rowPtr(r) + h * dh, &attend_ws);
         }
     });
@@ -105,22 +100,64 @@ DecoderStack::random(int64_t d_model, int64_t num_heads, int64_t d_ff,
     return stack;
 }
 
-Tensor<Half>
+void
+PrefillState::prepare(const DecoderStack &stack,
+                      int64_t prompt_tokens)
+{
+    SOFTREC_ASSERT(prompt_tokens >= 1,
+                   "prefill needs at least one prompt row");
+    promptTokens = prompt_tokens;
+    rowsDone = 0;
+    numLayers = int64_t(stack.layers.size());
+    dModel = stack.config.dModel;
+    k.clear();
+    v.clear();
+}
+
+void
 runPrefill(const ExecContext &ctx, const DecoderStack &stack,
-           const Tensor<Half> &prompt, KvCache &cache)
+           const Tensor<Half> &prompt, int64_t rows, KvCache &cache,
+           PrefillState &state, Tensor<Half> &outputs)
 {
     checkFunctionalStack(stack);
+    const int64_t dm = stack.config.dModel;
+    const int64_t num_layers = int64_t(stack.layers.size());
     SOFTREC_ASSERT(prompt.shape().rank() == 2 &&
-                   prompt.shape().dim(0) >= 1 &&
-                   prompt.shape().dim(1) == stack.config.dModel,
-                   "prompt must be [tokens, dModel]");
-    SOFTREC_ASSERT(cache.numLayers() == int64_t(stack.layers.size()) &&
-                   cache.context() == 0,
-                   "prefill needs an empty cache sized for the stack");
-    const int64_t tokens = prompt.shape().dim(0);
+                       prompt.shape().dim(0) == state.promptTokens &&
+                       prompt.shape().dim(1) == dm,
+                   "prompt must be [promptTokens, dModel] and match "
+                   "the prepared state");
+    SOFTREC_ASSERT(state.numLayers == num_layers && state.dModel == dm,
+                   "prefill state must be prepared for this stack "
+                   "(%lld layers of width %lld, not %lld of %lld)",
+                   (long long)num_layers, (long long)dm,
+                   (long long)state.numLayers, (long long)state.dModel);
+    SOFTREC_ASSERT(rows >= 1 &&
+                       state.rowsDone + rows <= state.promptTokens,
+                   "chunk of %lld rows does not fit: %lld of %lld "
+                   "prompt rows done",
+                   (long long)rows, (long long)state.rowsDone,
+                   (long long)state.promptTokens);
+    SOFTREC_ASSERT(cache.numLayers() == num_layers &&
+                       cache.context() == state.rowsDone,
+                   "cache context (%lld) must equal the rows already "
+                   "prefilled (%lld)",
+                   (long long)cache.context(),
+                   (long long)state.rowsDone);
 
     prof::Scope scope(ctx, "decode.prefill");
-    Tensor<Half> x = prompt;
+    const int64_t c0 = state.rowsDone;
+    const int64_t kv_len = c0 + rows;
+    // Later chunks read this chunk's exact K/V rows from the staging;
+    // the first chunk that leaves rows for later allocates it.
+    if (state.k.empty() && kv_len < state.promptTokens) {
+        const Shape staged({state.promptTokens, dm});
+        state.k.assign(size_t(num_layers), Tensor<Half>(staged));
+        state.v.assign(size_t(num_layers), Tensor<Half>(staged));
+    }
+    Tensor<Half> x(Shape({rows, dm}));
+    std::copy(prompt.rowPtr(c0), prompt.rowPtr(c0) + rows * dm,
+              x.data());
     for (size_t l = 0; l < stack.layers.size(); ++l) {
         // Free the layer's buffers before the cache appends: cache
         // blocks allocated while they are live sit above them in the
@@ -130,102 +167,43 @@ runPrefill(const ExecContext &ctx, const DecoderStack &stack,
         {
             LayerWorkspace ws;
             ws.x = std::move(x);
-            runEncoderLayerInto(ctx, stack.config, stack.layers[l], ws);
+            runLayer(ctx, stack.layers[l], ws, [&] {
+                // Rows [c0, c0 + rows) attend causally over the exact
+                // prefix [0, c0 + rows): staged, or this chunk alone.
+                const bool staged = !state.k.empty();
+                if (staged) {
+                    std::copy(ws.k.data(), ws.k.data() + rows * dm,
+                              state.k[l].rowPtr(c0));
+                    std::copy(ws.v.data(), ws.v.data() + rows * dm,
+                              state.v[l].rowPtr(c0));
+                }
+                attendHeads(ctx, stack.config, ws,
+                            staged ? state.k[l] : ws.k,
+                            staged ? state.v[l] : ws.v, kv_len);
+            });
             x = std::move(ws.x);
             k = std::move(ws.k);
             v = std::move(ws.v);
         }
-        for (int64_t i = 0; i < tokens; ++i)
+        // Row-ascending per layer, for every chunk split: a quantized
+        // cache makes identical per-block decisions.
+        for (int64_t i = 0; i < rows; ++i)
             cache.appendRow(int64_t(l), k.rowPtr(i), v.rowPtr(i));
     }
-    return x;
-}
-
-void
-PrefillState::prepare(const DecoderStack &stack,
-                      int64_t prompt_tokens)
-{
-    SOFTREC_ASSERT(prompt_tokens >= 1,
-                   "prefill needs at least one prompt row");
-    const size_t num_layers = stack.layers.size();
-    const Shape staged({prompt_tokens, stack.config.dModel});
-    promptTokens = prompt_tokens;
-    rowsDone = 0;
-    k.resize(num_layers);
-    v.resize(num_layers);
-    kBlock.resize(num_layers);
-    vBlock.resize(num_layers);
-    for (size_t l = 0; l < num_layers; ++l) {
-        k[l].resize(staged);
-        v[l].resize(staged);
-        kBlock[l] = reinterpret_cast<const std::byte *>(k[l].data());
-        vBlock[l] = reinterpret_cast<const std::byte *>(v[l].data());
-    }
-}
-
-void
-runPrefill(const ExecContext &ctx, const DecoderStack &stack,
-           const Tensor<Half> &prompt, int64_t rows, KvCache &cache,
-           PrefillState &state, DecodeStepWorkspace &ws,
-           Tensor<Half> &outputs)
-{
-    checkFunctionalStack(stack);
-    const int64_t dm = stack.config.dModel;
-    SOFTREC_ASSERT(prompt.shape().rank() == 2 &&
-                       prompt.shape().dim(0) == state.promptTokens &&
-                       prompt.shape().dim(1) == dm,
-                   "prompt must be [promptTokens, dModel] and match "
-                   "the prepared state");
-    SOFTREC_ASSERT(state.k.size() == stack.layers.size() &&
-                       state.k[0].shape().dim(1) == dm,
-                   "prefill state must be prepared for this stack "
-                   "(%lld layers of width %lld)",
-                   (long long)stack.layers.size(), (long long)dm);
-    SOFTREC_ASSERT(rows >= 1 &&
-                       state.rowsDone + rows <= state.promptTokens,
-                   "chunk of %lld rows does not fit: %lld of %lld "
-                   "prompt rows done",
-                   (long long)rows, (long long)state.rowsDone,
-                   (long long)state.promptTokens);
-    SOFTREC_ASSERT(cache.numLayers() == int64_t(stack.layers.size()) &&
-                       cache.context() == state.rowsDone,
-                   "cache context (%lld) must equal the rows already "
-                   "prefilled (%lld)",
-                   (long long)cache.context(),
-                   (long long)state.rowsDone);
-
-    prof::Scope scope(ctx, "decode.prefill");
-    const int64_t c0 = state.rowsDone;
-    ws.prepare(stack, rows);
-    std::copy(prompt.rowPtr(c0), prompt.rowPtr(c0) + rows * dm,
-              ws.x.data());
-    for (size_t l = 0; l < stack.layers.size(); ++l) {
-        runLayer(ctx, stack.layers[l], ws, [&] {
-            // Stage the exact fp16 rows for this chunk's attention
-            // reads and append the same rows to the cache,
-            // row-ascending — the order the one-shot prefill appends
-            // in, so a quantized cache makes identical per-block
-            // decisions.
-            std::copy(ws.k.data(), ws.k.data() + rows * dm,
-                      state.k[l].rowPtr(c0));
-            std::copy(ws.v.data(), ws.v.data() + rows * dm,
-                      state.v[l].rowPtr(c0));
-            for (int64_t r = 0; r < rows; ++r)
-                cache.appendRow(int64_t(l), ws.k.rowPtr(r),
-                                ws.v.rowPtr(r));
-            // Each row attends causally over the exact staged prefix
-            // [0, c0 + r].
-            attendRows(ctx, stack.config, ws, [&](int64_t r) {
-                return KvViews{
-                    contiguousKvView(&state.kBlock[l], state.promptTokens,
-                                     dm, c0 + r + 1),
-                    contiguousKvView(&state.vBlock[l], state.promptTokens,
-                                     dm, c0 + r + 1)};
-            });
-        });
-    }
     state.rowsDone += rows;
-    std::swap(outputs, ws.x);
+    outputs = std::move(x);
+}
+
+Tensor<Half>
+runPrefill(const ExecContext &ctx, const DecoderStack &stack,
+           const Tensor<Half> &prompt, KvCache &cache)
+{
+    PrefillState state;
+    state.prepare(stack, prompt.shape().dim(0));
+    Tensor<Half> out;
+    runPrefill(ctx, stack, prompt, state.promptTokens, cache, state,
+               out);
+    return out;
 }
 
 void
@@ -268,11 +246,7 @@ runDecodeStepInto(const ExecContext &ctx, const DecoderStack &stack,
             for (int64_t r = 0; r < rows; ++r)
                 caches[size_t(r)]->appendRow(int64_t(l), ws.k.rowPtr(r),
                                              ws.v.rowPtr(r));
-            attendRows(ctx, stack.config, ws, [&](int64_t r) {
-                const KvCache &cache = *caches[size_t(r)];
-                return KvViews{cache.kView(int64_t(l)),
-                               cache.vView(int64_t(l))};
-            });
+            attendRows(ctx, stack.config, ws, caches, int64_t(l));
         });
     }
     // Hand the result storage to the caller and keep its old buffer

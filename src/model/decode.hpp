@@ -43,44 +43,28 @@ struct DecoderStack
 };
 
 /**
- * Full-context forward pass over the prompt, seeding `cache` with
- * every layer's K/V rows for all prompt tokens. The cache must be
- * empty and sized for the stack's layer count.
- *
- * @param prompt [promptTokens, dModel] fp16
- * @return the stack's output, [promptTokens, dModel]; its last row is
- *         the input of the first decode step
- */
-Tensor<Half> runPrefill(const ExecContext &ctx,
-                        const DecoderStack &stack,
-                        const Tensor<Half> &prompt, KvCache &cache);
-
-/**
  * Resumable-prefill progress for one request: how many prompt rows
- * have been processed, plus per-layer staging of the *exact* fp16
- * K/V rows produced so far.
+ * have been processed, the stack shape it was prepared for, plus
+ * per-layer staging of the *exact* fp16 K/V rows produced so far.
  *
- * The staging exists for bit-identity: unchunked prefill attends
+ * The staging exists for bit-identity: one-chunk prefill attends
  * over the projection outputs directly, before the KV cache stores
- * them — so on a quantized cache a chunk must not read earlier rows
- * back through the cache (that would fold the quantization error of
- * its own prompt into the prefill math). Chunked prefill therefore
- * attends over this exact staging and *also* appends every row to
- * the cache in the same per-layer order as the unchunked path,
- * which keeps the cache contents (including per-block quantization
- * decisions) identical too.
+ * them — so on a quantized cache a later chunk must not read earlier
+ * rows back through the cache (that would fold the quantization
+ * error of its own prompt into the prefill math). The first chunk
+ * that leaves rows for later allocates the staging; a prompt that
+ * lands in one chunk stages nothing.
  */
 struct PrefillState
 {
     int64_t promptTokens = 0; //!< total prompt rows
     int64_t rowsDone = 0;     //!< rows already processed
-    //! Exact fp16 K/V rows per layer, [promptTokens, dModel].
+    int64_t numLayers = 0;    //!< layers of the prepared-for stack
+    int64_t dModel = 0;       //!< width of the prepared-for stack
+    //! Exact fp16 K/V rows per layer, [promptTokens, dModel], or none.
     std::vector<Tensor<Half>> k, v;
-    //! Stable single-pseudo-block base pointers into k/v for the
-    //! contiguousKvView reads (one cell per layer).
-    std::vector<const std::byte *> kBlock, vBlock;
 
-    /** Size the staging for a prompt and reset progress to row 0. */
+    /** Reset progress to row 0 of a prompt for `stack`. */
     void prepare(const DecoderStack &stack, int64_t prompt_tokens);
     /** True once every prompt row has been processed. */
     bool
@@ -91,12 +75,11 @@ struct PrefillState
 };
 
 /**
- * Step-lifetime buffers for chunked runPrefill and runDecodeStepInto:
- * the shared layer body's buffers plus one DecodeAttendWorkspace per
- * worker slot for the per-(row, head) attention. A serving loop keeps
- * one of these across its whole drain; after the buffers reach their
- * high-water shape (max batch rows, max context), stepping allocates
- * nothing.
+ * Step-lifetime buffers for runDecodeStepInto: the shared layer
+ * body's buffers plus one DecodeAttendWorkspace per worker slot for
+ * the per-(row, head) attention. A serving loop keeps one of these
+ * across its whole drain; after the buffers reach their high-water
+ * shape (max batch rows, max context), stepping allocates nothing.
  */
 struct DecodeStepWorkspace : LayerWorkspace
 {
@@ -110,31 +93,42 @@ struct DecodeStepWorkspace : LayerWorkspace
 
 /**
  * Process the next `rows` prompt rows of a resumable prefill:
- * rows [state.rowsDone, state.rowsDone + rows) run through the
- * stack, their K/V land in `state`'s exact staging and in `cache`,
- * and `outputs` receives the stack output for exactly those rows
- * ([rows, dModel], via buffer swap). After the final chunk the last
- * output row is the first decode input, exactly as with the
- * one-shot overload.
+ * rows [c0, c0 + rows), c0 = state.rowsDone, run through the stack,
+ * their K/V land in `cache` (and in `state`'s exact staging when
+ * rows remain for later chunks), and `outputs` receives the stack
+ * output for exactly those rows ([rows, dModel]). After the final
+ * chunk the last output row is the first decode input.
  *
- * Bit-identity with the one-shot runPrefill, for every chunk split:
- * the projections are row-independent batched GEMMs; each row's
- * attention runs the decode kernel of the configured backend over
- * the exact staged prefix, which PR 8 pinned bit-identical to the
- * batch prefill row at the same position; and the post-attention
- * stages are row-local. Cache appends happen row-ascending per
- * layer, the same order as the one-shot path, so the stored blocks
- * (and their quantization headers) match bit for bit as well.
+ * This is the only prefill body. Its attention step is attendHeads
+ * over the prompt prefix [0, c0 + rows), i.e. SdaConfig{seqLen =
+ * rows, kvLen = c0 + rows, causalMask}. Bit-identity for every chunk
+ * split: the projections are row-independent batched GEMMs; under
+ * the causal offset rule, row i of the chunk does the same
+ * per-element work as row c0 + i of a one-chunk prefill; the
+ * post-attention stages are row-local; and cache appends happen
+ * row-ascending per layer, so the stored blocks (and their
+ * quantization headers) match too.
  *
  * @param rows  chunk size; 1 <= rows <= promptTokens - rowsDone
- * @param state prepared for this stack: one staging per layer, each
- *              dModel wide (asserted)
- * @param ws    step buffers reused across chunks and decode steps
+ * @param state prepared for this stack (layer count and width
+ *              asserted)
  */
 void runPrefill(const ExecContext &ctx, const DecoderStack &stack,
                 const Tensor<Half> &prompt, int64_t rows,
                 KvCache &cache, PrefillState &state,
-                DecodeStepWorkspace &ws, Tensor<Half> &outputs);
+                Tensor<Half> &outputs);
+
+/**
+ * The whole prompt as one runPrefill chunk, seeding `cache` (empty,
+ * sized for the stack) with every layer's K/V rows.
+ *
+ * @param prompt [promptTokens, dModel] fp16
+ * @return the stack's output, [promptTokens, dModel]; its last row is
+ *         the input of the first decode step
+ */
+Tensor<Half> runPrefill(const ExecContext &ctx,
+                        const DecoderStack &stack,
+                        const Tensor<Half> &prompt, KvCache &cache);
 
 /**
  * One decode step for a batch of R independent requests: row r of

@@ -109,52 +109,16 @@ shapeAs(Tensor<Half> &t, int64_t rows, int64_t cols)
         t.resize(Shape({rows, cols}));
 }
 
-/** Copy head columns [h*dh, (h+1)*dh) into an [L, dh] tensor. */
+/** Copy head columns [h*dh, (h+1)*dh) of the first `rows` rows. */
 Tensor<Half>
-sliceHead(const Tensor<Half> &x, int64_t head, int64_t d_head)
+sliceHead(const Tensor<Half> &x, int64_t rows, int64_t head,
+          int64_t d_head)
 {
-    const int64_t rows = x.shape().dim(0);
     Tensor<Half> out(Shape({rows, d_head}));
     for (int64_t i = 0; i < rows; ++i)
         std::copy(x.rowPtr(i) + head * d_head,
                   x.rowPtr(i) + (head + 1) * d_head, out.rowPtr(i));
     return out;
-}
-
-/** Batched multi-head attention of ws.q/k/v into ws.attention. */
-void
-attendHeads(const ExecContext &ctx, const FunctionalLayerConfig &config,
-            LayerWorkspace &ws)
-{
-    const int64_t rows = ws.q.shape().dim(0);
-    const int64_t dh = config.dHead();
-    SdaConfig sda;
-    sda.seqLen = rows;
-    sda.dHead = dh;
-    sda.causalMask = config.causalMask;
-    sda.layout = config.layout;
-    sda.subVector = config.subVector;
-    sda.attnTiling = config.attnTiling;
-    sda.backend = config.attention;
-
-    // Heads are independent problems writing disjoint column bands of
-    // the concatenated output, so they parallelize at grain 1; the
-    // kernels inside each head then run inline (nested regions
-    // degrade to serial), keeping the math order head-local and the
-    // result bit-identical for any thread count.
-    parallelFor(ctx, 0, config.numHeads, 1,
-                [&](int64_t head0, int64_t head1) {
-        for (int64_t head = head0; head < head1; ++head) {
-            AttentionInputs head_inputs{sliceHead(ws.q, head, dh),
-                                        sliceHead(ws.k, head, dh),
-                                        sliceHead(ws.v, head, dh)};
-            const Tensor<Half> head_out =
-                runAttention(ctx, sda, head_inputs, config.strategy);
-            for (int64_t i = 0; i < rows; ++i)
-                std::copy(head_out.rowPtr(i), head_out.rowPtr(i) + dh,
-                          ws.attention.rowPtr(i) + head * dh);
-        }
-    });
 }
 
 } // namespace
@@ -207,15 +171,45 @@ runLayer(const ExecContext &ctx, const EncoderLayerWeights &w,
 }
 
 void
-runEncoderLayerInto(const ExecContext &ctx,
-                    const FunctionalLayerConfig &config,
-                    const EncoderLayerWeights &weights, LayerWorkspace &ws)
+attendHeads(const ExecContext &ctx, const FunctionalLayerConfig &config,
+            LayerWorkspace &ws, const Tensor<Half> &k,
+            const Tensor<Half> &v, int64_t kv_len)
 {
-    SOFTREC_ASSERT(config.dModel % config.numHeads == 0,
-                   "heads must divide dModel");
-    // Time-only summary scope around the whole layer.
-    prof::Scope scope(ctx, "layer.encoder");
-    runLayer(ctx, weights, ws, [&] { attendHeads(ctx, config, ws); });
+    const int64_t rows = ws.q.shape().dim(0);
+    const int64_t dh = config.dHead();
+    SOFTREC_ASSERT(kv_len >= rows && kv_len <= k.shape().dim(0) &&
+                   kv_len <= v.shape().dim(0),
+                   "attendHeads: %lld key rows for %lld queries",
+                   (long long)kv_len, (long long)rows);
+    SdaConfig sda;
+    sda.seqLen = rows;
+    sda.kvLen = kv_len;
+    sda.dHead = dh;
+    sda.causalMask = config.causalMask;
+    sda.layout = config.layout;
+    sda.subVector = config.subVector;
+    sda.attnTiling = config.attnTiling;
+    sda.backend = config.attention;
+
+    // Heads are independent problems writing disjoint column bands of
+    // the concatenated output, so they parallelize at grain 1; the
+    // kernels inside each head then run inline (nested regions
+    // degrade to serial), keeping the math order head-local and the
+    // result bit-identical for any thread count.
+    parallelFor(ctx, 0, config.numHeads, 1,
+                [&](int64_t head0, int64_t head1) {
+        for (int64_t head = head0; head < head1; ++head) {
+            AttentionInputs head_inputs{
+                sliceHead(ws.q, rows, head, dh),
+                sliceHead(k, kv_len, head, dh),
+                sliceHead(v, kv_len, head, dh)};
+            const Tensor<Half> head_out =
+                runAttention(ctx, sda, head_inputs, config.strategy);
+            for (int64_t i = 0; i < rows; ++i)
+                std::copy(head_out.rowPtr(i), head_out.rowPtr(i) + dh,
+                          ws.attention.rowPtr(i) + head * dh);
+        }
+    });
 }
 
 Tensor<Half>
@@ -227,9 +221,15 @@ runEncoderLayer(const ExecContext &ctx,
     SOFTREC_ASSERT(input.shape().rank() == 2 &&
                    input.shape().dim(1) == config.dModel,
                    "input must be [L, dModel]");
+    SOFTREC_ASSERT(config.dModel % config.numHeads == 0,
+                   "heads must divide dModel");
+    // Time-only summary scope around the whole layer.
+    prof::Scope scope(ctx, "layer.encoder");
     LayerWorkspace ws;
     ws.x = input;
-    runEncoderLayerInto(ctx, config, weights, ws);
+    runLayer(ctx, weights, ws, [&] {
+        attendHeads(ctx, config, ws, ws.k, ws.v, ws.k.shape().dim(0));
+    });
     return std::move(ws.x);
 }
 

@@ -117,16 +117,20 @@ void runLayer(const ExecContext &ctx, const EncoderLayerWeights &weights,
               LayerWorkspace &ws, const std::function<void()> &attend);
 
 /**
- * runEncoderLayer on a caller-owned workspace: ws.x in, ws.x out,
- * with ws.k/v left holding the layer's K/V projections. Attention is
- * the batched per-head runAttention under the configured strategy
- * and backend. Full-sequence callers pass a fresh workspace per
- * layer, so no layer buffer outlives its layer.
+ * The batched multi-head attention step of runEncoderLayer and of
+ * every prefill chunk: the R query rows in ws.q attend, head by head,
+ * through runAttention under the configured strategy and backend,
+ * over the first `kv_len` rows of `k`/`v` (dModel wide,
+ * kv_len >= R), and the heads land concatenated in ws.attention.
+ * Causal queries are the last R of the kv_len positions
+ * (SdaConfig::kvLen's offset rule), so a prefill chunk of rows
+ * [c0, c0 + R) passes the prompt prefix [0, c0 + R) and each of its
+ * rows computes what row c0 + i of the whole prompt does.
  */
-void runEncoderLayerInto(const ExecContext &ctx,
-                         const FunctionalLayerConfig &config,
-                         const EncoderLayerWeights &weights,
-                         LayerWorkspace &ws);
+void attendHeads(const ExecContext &ctx,
+                 const FunctionalLayerConfig &config, LayerWorkspace &ws,
+                 const Tensor<Half> &k, const Tensor<Half> &v,
+                 int64_t kv_len);
 
 /**
  * Run one encoder layer: LayerNorm(x + MHA(x)), then

@@ -55,7 +55,7 @@ struct ServeConfig
     //! prefill unchunked at admission (the pre-chunking behaviour);
     //! a positive value bounds how long an arriving prompt can
     //! displace active decode streams to one chunk per step, at
-    //! bit-identical outputs (see runPrefill's resumable overload).
+    //! bit-identical outputs (see runPrefill).
     int64_t prefillChunkTokens = 0;
     //! Mode thresholds and per-tenant budgets for the admission
     //! controller (see admission.hpp for the regime semantics).

@@ -326,7 +326,6 @@ ServeEngine::admitAndPrefill()
 void
 ServeEngine::prefillSlot(int64_t slot_index)
 {
-    prof::Scope scope(ctx_, "serve.prefill");
     const BatchSlot &slot = scheduler_.slot(slot_index);
     SlotState &state = slots_[size_t(slot_index)];
     state.cache = std::make_unique<KvCache>(
@@ -337,17 +336,7 @@ ServeEngine::prefillSlot(int64_t slot_index)
     state.footprintTokens = prompt_tokens +
                             slot.request.generateTokens;
     state.nextInput = Tensor<Half>(Shape({1, stack_.config.dModel}));
-    if (config_.prefillChunkTokens == 0) {
-        // Unchunked: the whole prompt runs here, at admission, on
-        // the one-shot batch path.
-        const Tensor<Half> out = runPrefill(
-            ctx_, stack_, slot.request.prompt, *state.cache);
-        scheduler_.notePrefillProgress(slot_index, prompt_tokens);
-        seedNextInput(state, out);
-        return;
-    }
-    // Chunked: register for advancePrefills, which feeds the prompt
-    // in at most prefillChunkTokens rows per serve step.
+    // advancePrefills feeds the prompt in, this very step included.
     state.prefill = std::make_unique<PrefillState>();
     state.prefill->prepare(stack_, prompt_tokens);
     prefilling_.push_back(slot_index);
@@ -356,20 +345,23 @@ ServeEngine::prefillSlot(int64_t slot_index)
 void
 ServeEngine::advancePrefills()
 {
-    if (prefilling_.empty())
-        return;
-    prof::Scope scope(ctx_, "serve.prefill");
     size_t keep = 0;
     for (size_t i = 0; i < prefilling_.size(); ++i) {
         const int64_t slot_index = prefilling_[i];
         SlotState &state = slots_[size_t(slot_index)];
         PrefillState &prefill = *state.prefill;
+        prof::Scope scope(ctx_, "serve.prefill");
+        // Unchunked serving (prefillChunkTokens == 0) lands the whole
+        // prompt as one chunk.
+        const int64_t remaining = prefill.promptTokens - prefill.rowsDone;
         const int64_t rows =
-            std::min(config_.prefillChunkTokens,
-                     prefill.promptTokens - prefill.rowsDone);
+            config_.prefillChunkTokens == 0
+                ? remaining
+                : std::min(config_.prefillChunkTokens, remaining);
+        Tensor<Half> out;
         runPrefill(ctx_, stack_,
                    scheduler_.slot(slot_index).request.prompt, rows,
-                   *state.cache, prefill, stepWs_, prefillOut_);
+                   *state.cache, prefill, out);
         // The budget was reserved at admission; this charges the KV
         // rows that just landed.
         scheduler_.notePrefillProgress(slot_index, rows);
@@ -377,7 +369,7 @@ ServeEngine::advancePrefills()
             prefilling_[keep++] = slot_index;
             continue;
         }
-        seedNextInput(state, prefillOut_);
+        seedNextInput(state, out);
         state.prefill.reset(); // staging frees once the prompt landed
     }
     prefilling_.resize(keep);

@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <stdexcept>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -15,6 +16,8 @@
 #include "common/profiler.hpp"
 #include "common/rng.hpp"
 #include "core/attention_exec.hpp"
+#include "fp16/half.hpp"
+#include "kernels/streaming_attention.hpp"
 #include "sparse/patterns.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -164,6 +167,122 @@ TEST(DenseStrategies, CausalProfileCreditsOnlyLowerTriangleWork)
               uint64_t(l * (l + 1) / 2) * kFp16Bytes);
     EXPECT_EQ(profiler.statsFor("softmax.row").bytesWritten,
               full * kFp16Bytes);
+}
+
+// --- Causal offset: a query chunk over a longer key prefix ----------
+
+/** Attention of `config` under (threads, SIMD backend, strategy). */
+Tensor<Half>
+runUnder(const SdaConfig &config, const AttentionInputs &inputs,
+         Strategy strategy, int threads, SimdBackend backend)
+{
+    const SimdBackend prev = setSimdBackend(backend);
+    ThreadPool pool(threads);
+    ExecContext ctx;
+    if (threads > 1)
+        ctx.pool = &pool;
+    Tensor<Half> out = runAttention(ctx, config, inputs, strategy);
+    setSimdBackend(prev);
+    return out;
+}
+
+TEST(CausalOffset, ChunkRowsMatchTheFullProblemBitForBit)
+{
+    // seqLen queries over kvLen keys are the last seqLen rows of the
+    // kvLen x kvLen causal problem. The offsets kvLen - seqLen (20 to
+    // 99) fall inside 16-wide tiles and sub-vectors and on both sides
+    // of the 64-key streaming tile.
+    struct Run
+    {
+        AttentionBackend backend;
+        Strategy strategy;
+    };
+    const Run runs[] = {
+        {AttentionBackend::Recomposed, Strategy::Baseline},
+        {AttentionBackend::Recomposed, Strategy::Decomposed},
+        {AttentionBackend::Recomposed, Strategy::Fused},
+        {AttentionBackend::Streaming, Strategy::Baseline},
+    };
+    uint64_t seed = 300;
+    for (const int64_t kv_len : {37, 100})
+    for (const int64_t seq_len : {1, 7, 17}) {
+        SdaConfig full;
+        full.seqLen = kv_len;
+        full.dHead = 16;
+        full.causalMask = true;
+        full.subVector = 16;
+        full.attnTiling.tileM = 16;
+        full.attnTiling.tileN = 16;
+        full.attnTiling.tileK = 16;
+        const AttentionInputs full_inputs = randomInputs(full, seed++);
+        SdaConfig chunk = full;
+        chunk.seqLen = seq_len;
+        chunk.kvLen = kv_len;
+        const int64_t c0 = kv_len - seq_len;
+        AttentionInputs chunk_inputs{
+            Tensor<Half>(Shape({seq_len, full.dHead})), full_inputs.k,
+            full_inputs.v};
+        for (int64_t i = 0; i < seq_len; ++i)
+            for (int64_t d = 0; d < full.dHead; ++d)
+                chunk_inputs.q.at(i, d) = full_inputs.q.at(c0 + i, d);
+
+        const Tensor<float> reference =
+            referenceDenseAttention(chunk, chunk_inputs);
+        const Tensor<float> full_reference =
+            referenceDenseAttention(full, full_inputs);
+        for (int64_t i = 0; i < seq_len; ++i)
+            for (int64_t d = 0; d < full.dHead; ++d)
+                ASSERT_EQ(reference.at(i, d),
+                          full_reference.at(c0 + i, d));
+
+        for (const Run &run : runs)
+        for (const int threads : {1, 4})
+        for (const SimdBackend simd :
+             {SimdBackend::Scalar, detectedSimdBackend()}) {
+            SCOPED_TRACE(testing::Message()
+                         << attentionBackendName(run.backend) << " "
+                         << strategyName(run.strategy) << " seqLen="
+                         << seq_len << " kvLen=" << kv_len
+                         << " threads=" << threads << " simd="
+                         << simdBackendName(simd));
+            full.backend = run.backend;
+            chunk.backend = run.backend;
+            const Tensor<Half> want = runUnder(
+                full, full_inputs, run.strategy, threads, simd);
+            const Tensor<Half> got = runUnder(
+                chunk, chunk_inputs, run.strategy, threads, simd);
+            ASSERT_EQ(got.shape(), Shape({seq_len, full.dHead}));
+            for (int64_t i = 0; i < seq_len; ++i)
+                for (int64_t d = 0; d < full.dHead; ++d)
+                    ASSERT_EQ(got.at(i, d).bits(),
+                              want.at(c0 + i, d).bits())
+                        << "row " << i << " col " << d;
+            EXPECT_LT(maxAbsDiff(toFloat(got), reference), kTol);
+        }
+    }
+}
+
+TEST(CausalOffset, FewerKeysThanQueriesIsAHardError)
+{
+    // Query i attends keys j <= i + (kvLen - seqLen): with fewer keys
+    // than queries the first rows would attend nothing.
+    SdaConfig config;
+    config.seqLen = 17;
+    config.kvLen = 16;
+    config.dHead = 16;
+    config.causalMask = true;
+    const AttentionInputs inputs = randomInputs(config, 5);
+    for (const AttentionBackend backend :
+         {AttentionBackend::Recomposed, AttentionBackend::Streaming}) {
+        config.backend = backend;
+        EXPECT_THROW(
+            runAttention(execCtx(), config, inputs, Strategy::Baseline),
+            std::logic_error)
+            << attentionBackendName(backend);
+    }
+    config.causalMask = false; // cross-attention has no diagonal
+    EXPECT_NO_THROW(
+        runAttention(execCtx(), config, inputs, Strategy::Baseline));
 }
 
 class SparseStrategies : public ::testing::TestWithParam<int>

@@ -371,19 +371,19 @@ goldenChunkedHash(AttentionBackend backend, KvDtype dtype)
     KvCache cache(slab, layers);
     PrefillState state;
     state.prepare(stack, prompt_tokens);
-    DecodeStepWorkspace ws;
     Tensor<Half> chunk;
     uint64_t h = 0xcbf29ce484222325ull;
     while (!state.done()) {
         runPrefill(ctx, stack, prompt,
                    std::min<int64_t>(5, prompt_tokens - state.rowsDone),
-                   cache, state, ws, chunk);
+                   cache, state, chunk);
         h = hashBits(h, chunk);
     }
 
     Tensor<Half> input(Shape({1, dm}));
     for (int64_t j = 0; j < dm; ++j)
         input.at(0, j) = chunk.at(chunk.shape().dim(0) - 1, j);
+    DecodeStepWorkspace ws;
     Tensor<Half> next;
     for (int step = 0; step < 8; ++step) {
         runDecodeStepInto(ctx, stack, input, {&cache}, ws, next);

@@ -59,12 +59,11 @@ chunkedPrefill(const ExecContext &ctx, const DecoderStack &stack,
 {
     PrefillState state;
     state.prepare(stack, prompt.shape().dim(0));
-    DecodeStepWorkspace ws;
     Tensor<Half> out;
     while (!state.done()) {
         const int64_t rows =
             std::min(chunk, state.promptTokens - state.rowsDone);
-        runPrefill(ctx, stack, prompt, rows, cache, state, ws, out);
+        runPrefill(ctx, stack, prompt, rows, cache, state, out);
     }
     return out;
 }
@@ -185,6 +184,40 @@ TEST(PrefillChunk, ChunkedMatchesUnchunkedBitForBit)
     }
 }
 
+/**
+ * Exact K/V staging exists only for later chunks to read: a prompt
+ * that lands in one chunk stages nothing, and the first chunk that
+ * leaves rows for later stages every layer.
+ */
+TEST(PrefillChunk, OneChunkPromptStagesNothing)
+{
+    const ExecContext ctx;
+    const DecoderStack stack =
+        makeStack(AttentionBackend::Recomposed);
+    Rng prompt_rng(43);
+    const Tensor<Half> prompt = randomPrompt(prompt_rng, 8);
+    KvSlab slab(kBlockTokens, kDm, 8, KvDtype::F16);
+    Tensor<Half> out;
+    {
+        KvCache cache(slab, kLayers);
+        PrefillState state;
+        state.prepare(stack, 8);
+        runPrefill(ctx, stack, prompt, 8, cache, state, out);
+        EXPECT_TRUE(state.done());
+        EXPECT_TRUE(state.k.empty());
+        EXPECT_TRUE(state.v.empty());
+    }
+    {
+        KvCache cache(slab, kLayers);
+        PrefillState state;
+        state.prepare(stack, 8);
+        runPrefill(ctx, stack, prompt, 5, cache, state, out);
+        ASSERT_EQ(state.k.size(), size_t(kLayers));
+        ASSERT_EQ(state.v.size(), size_t(kLayers));
+        EXPECT_EQ(state.k[0].shape(), Shape({8, kDm}));
+    }
+}
+
 /** Chunk bookkeeping: bad resumes are bugs, loudly. */
 TEST(PrefillChunk, StateGuardsMisuse)
 {
@@ -194,16 +227,15 @@ TEST(PrefillChunk, StateGuardsMisuse)
     Rng prompt_rng(31);
     const Tensor<Half> prompt = randomPrompt(prompt_rng, 8);
     KvSlab slab(kBlockTokens, kDm, 8, KvDtype::F16);
-    DecodeStepWorkspace ws;
     Tensor<Half> out;
     {
         // A chunk past the end of the prompt must throw.
         KvCache cache(slab, kLayers);
         PrefillState state;
         state.prepare(stack, 8);
-        runPrefill(ctx, stack, prompt, 6, cache, state, ws, out);
+        runPrefill(ctx, stack, prompt, 6, cache, state, out);
         EXPECT_THROW(runPrefill(ctx, stack, prompt, 3, cache, state,
-                                ws, out),
+                                out),
                      std::logic_error);
     }
     {
@@ -211,10 +243,10 @@ TEST(PrefillChunk, StateGuardsMisuse)
         KvCache cache(slab, kLayers);
         PrefillState state;
         state.prepare(stack, 8);
-        runPrefill(ctx, stack, prompt, 4, cache, state, ws, out);
+        runPrefill(ctx, stack, prompt, 4, cache, state, out);
         state.rowsDone = 2; // desync
         EXPECT_THROW(runPrefill(ctx, stack, prompt, 2, cache, state,
-                                ws, out),
+                                out),
                      std::logic_error);
     }
     {
@@ -223,7 +255,7 @@ TEST(PrefillChunk, StateGuardsMisuse)
         PrefillState state;
         state.prepare(stack, 8);
         EXPECT_THROW(runPrefill(ctx, stack, prompt, 0, cache, state,
-                                ws, out),
+                                out),
                      std::logic_error);
     }
     {
@@ -236,7 +268,7 @@ TEST(PrefillChunk, StateGuardsMisuse)
         PrefillState state;
         state.prepare(shallow, 8);
         EXPECT_THROW(runPrefill(ctx, stack, prompt, 4, cache, state,
-                                ws, out),
+                                out),
                      std::logic_error);
     }
     {
@@ -249,7 +281,7 @@ TEST(PrefillChunk, StateGuardsMisuse)
         PrefillState state;
         state.prepare(narrow, 8);
         EXPECT_THROW(runPrefill(ctx, stack, prompt, 4, cache, state,
-                                ws, out),
+                                out),
                      std::logic_error);
     }
 }

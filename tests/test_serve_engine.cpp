@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/profiler.hpp"
 #include "common/rng.hpp"
 #include "serve/serve_engine.hpp"
 
@@ -322,6 +323,47 @@ TEST(ServeEngine, ChunkedPrefillNeverChangesTheTokens)
     const auto chunked = serve(3);
     ASSERT_EQ(unchunked.size(), 5u);
     EXPECT_EQ(unchunked, chunked);
+}
+
+TEST(ServeEngine, PrefillScopesCountChunks)
+{
+    // serve.prefill opens once per slot per chunk, so unchunked
+    // serving records one call per request; decode.prefill opens once
+    // per runPrefill call, i.e. per chunk as well.
+    const DecoderStack stack = testStack();
+    const int64_t prompts[] = {9, 10, 11, 12, 13};
+    auto prefill_calls = [&](int64_t chunk_tokens) {
+        prof::Profiler profiler;
+        ExecContext ctx;
+        ctx.profiler = &profiler;
+        ServeConfig config = testConfig();
+        config.prefillChunkTokens = chunk_tokens;
+        {
+            ServeEngine engine(ctx, stack, config);
+            engine.start();
+            Rng rng(53);
+            std::vector<ServeSession> sessions;
+            for (const int64_t tokens : prompts) {
+                SubmitResult result =
+                    engine.submit(makeRequest(rng, tokens, 2));
+                EXPECT_TRUE(result.decision.accepted)
+                    << result.decision.reason;
+                sessions.push_back(std::move(result.session));
+            }
+            Tensor<Half> row;
+            for (ServeSession &session : sessions) {
+                while (session.stream().next(row)) {
+                }
+            }
+            engine.waitIdle();
+        }
+        const int64_t serve = profiler.statsFor("serve.prefill").calls;
+        EXPECT_EQ(profiler.statsFor("decode.prefill").calls, serve);
+        return serve;
+    };
+    EXPECT_EQ(prefill_calls(0), 5);
+    // ceil(p / 3) over the prompts: 3 + 4 + 4 + 4 + 5.
+    EXPECT_EQ(prefill_calls(3), 20);
 }
 
 TEST(Percentile, InterpolatesBetweenSortedSamples)

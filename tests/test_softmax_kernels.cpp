@@ -115,6 +115,24 @@ TEST(RowSoftmax, CausalRejectsUnmaskedScoresInCheckedBuild)
     desc.causal = true;
     EXPECT_THROW(rowSoftmaxRun(execCtx(), desc, in, out),
                  std::logic_error);
+
+    // Three query rows over eight keys: row i keeps j <= i + 5, so a
+    // real score at (0, 6) is past the shifted diagonal.
+    Tensor<Half> shifted(Shape({3, 8}));
+    for (int64_t i = 0; i < 3; ++i)
+        for (int64_t j = 0; j < 8; ++j)
+            shifted.at(i, j) = j > i + 5 ? Half::fromBits(0xfc00)
+                                         : Half(0.25f * float(j));
+    Tensor<Half> shifted_out(shifted.shape());
+    SoftmaxShape shifted_desc;
+    shifted_desc.rows = 3;
+    shifted_desc.cols = 8;
+    shifted_desc.causal = true;
+    rowSoftmaxRun(execCtx(), shifted_desc, shifted, shifted_out);
+    shifted.at(0, 6) = Half(0.5f);
+    EXPECT_THROW(rowSoftmaxRun(execCtx(), shifted_desc, shifted,
+                               shifted_out),
+                 std::logic_error);
 }
 
 // --- The vectorized max pass against the scalar std::max loop ------

@@ -9,12 +9,11 @@ runDecodeStepInto(Ctx &ctx)
   ctx.use(ws.get(), once.get());
 }
 
-template <typename RowViews>
 void
-attendRows(Ctx &ctx, Workspace &ws, const RowViews &views)
+attendRows(Ctx &ctx, Workspace &ws, const Caches &caches, int layer)
 {
   ws.attend.resize(ctx.slots());
-  ctx.use(views(0));
+  ctx.use(caches[0]->kView(layer));
 }
 
 void

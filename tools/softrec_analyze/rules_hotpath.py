@@ -18,9 +18,11 @@ KERNEL_DIRS = ("src/kernels/",)
 # Functions on the per-token decode path: their whole bodies must be
 # allocation-free (setup that genuinely runs once per step is
 # annotated allow() at the site, with the reason). The decode step
-# runs through the layer body (runLayer) and the per-(row, head)
-# attention loop (attendRows) it shares with prefill, so both are
-# listed with it. The prefill and finish helpers around
+# runs through the layer body (runLayer) and its per-(row, head)
+# attention loop (attendRows), so both are listed with it. Prefill
+# attends through the batched per-head runAttention instead, whose
+# per-call temporaries are the same amortized boundary as the
+# helpers below. The prefill and finish helpers around
 # ServeEngine::serveStep are deliberately NOT here: they are the
 # documented amortized-allocation boundary (workspace construction,
 # batch recomposition) that keeps these bodies clean.
