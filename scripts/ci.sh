@@ -47,9 +47,11 @@
 #      SOFTREC_SERVE_PREFILL_CHUNK values hard-error instead of
 #      falling back, and that micro_kernels --benchmark_list_tests
 #      writes no file into its working directory
-#   9. servebench: its unit self-test, then a 5 s long_prompt run that
-#      must report "correct": true (servebench builds its own copy of
-#      src/ against the kernel headers, under .bench_build/)
+#   9. servebench: its unit self-test, then 5 s long_prompt and
+#      decode_heavy runs that must each report "correct": true (the
+#      decode_heavy run is the only end-to-end check of decode at the
+#      serving block size; servebench builds its own copy of src/
+#      against the kernel headers, under .bench_build/)
 #
 # Every stage must pass; the script stops at the first failure.
 # A toolchain without clang still runs stages 2 and 4-6, which are the
@@ -244,7 +246,7 @@ if SOFTREC_SERVE_PREFILL_CHUNK=weasel SOFTREC_BENCH_SEQLEN=64 \
 fi
 echo "SOFTREC_SERVE_PREFILL_CHUNK=weasel: rejected (OK)"
 
-step "servebench: self-test, then a 5 s long_prompt run whose output check passes"
+step "servebench: self-test, then 5 s long_prompt and decode_heavy runs whose output checks pass"
 # servebench compiles its own copy of src/ against the kernel headers
 # (under .bench_build/) and refuses to start while any SOFTREC_*
 # variable is set, so it runs with every such variable removed.
@@ -253,15 +255,18 @@ for var in $(compgen -e | grep '^SOFTREC_' || true); do
     SERVE_ENV+=(-u "${var}")
 done
 "${SERVE_ENV[@]}" python3 servebench/run.py --self-test
-SERVE_RESULT="$("${SERVE_ENV[@]}" python3 servebench/run.py \
-    --workload long_prompt --seed 1 --seconds 5 --trace 0 | tail -n 1)"
-if ! python3 -c 'import json, sys
+for workload in long_prompt decode_heavy; do
+    SERVE_RESULT="$("${SERVE_ENV[@]}" python3 servebench/run.py \
+        --workload "${workload}" --seed 1 --seconds 5 --trace 0 |
+        tail -n 1)"
+    if ! python3 -c 'import json, sys
 sys.exit(0 if json.loads(sys.argv[1]).get("correct") is True else 1)' \
-    "${SERVE_RESULT}"; then
-    echo "ci: servebench long_prompt did not report \"correct\": true" >&2
-    echo "${SERVE_RESULT}" >&2
-    exit 1
-fi
-echo "servebench long_prompt: correct (OK)"
+        "${SERVE_RESULT}"; then
+        echo "ci: servebench ${workload} did not report \"correct\": true" >&2
+        echo "${SERVE_RESULT}" >&2
+        exit 1
+    fi
+    echo "servebench ${workload}: correct (OK)"
+done
 
 printf '\n=== ci: all gates passed ===\n'

@@ -14,6 +14,14 @@
  * stages. tests/test_decode.cpp proves incremental decode through
  * this kernel is bit-identical to full-prefix recompute at every
  * step, for any thread count and SIMD backend.
+ *
+ * A decode step is memory-bound: its cost is one sweep over the
+ * cached K and V. The cache therefore stores K blocks column-major,
+ * so QK holds up to 8 positions in the lanes of one SIMD register
+ * (broadcast q[d], ascending d), while P.V holds d in the lanes and
+ * walks the row-major V positions in order. decodeScores and
+ * decodeAccumulate are those two loops, shared with the streaming
+ * decode kernel (kernels/streaming_attention.hpp).
  */
 
 #ifndef SOFTREC_KERNELS_DECODE_ATTENTION_HPP
@@ -63,11 +71,18 @@ constexpr int64_t kKvBlockQuantBytes = 16;
 /**
  * Read-only view of cached rows stored in fixed-size slab blocks
  * (serve/kv_cache.hpp produces these). Row `pos` lives in block
- * `pos / blockTokens` at row offset `pos % blockTokens`; every row is
+ * `pos / blockTokens` at position `pos % blockTokens`; every row is
  * `rowWidth` elements (the model width, all heads concatenated) of
- * the view's storage format. Kernels read rows through loadRow(),
- * which dequantizes into caller-owned fp32 lane buffers — the decode
- * hot path stays allocation-free in every format.
+ * the view's storage format. Within a block, element (t, c) sits at
+ * `t * rowWidth + c` (row-major, how V blocks and hand-built views
+ * store it) or, when `columnMajor`, at `c * blockTokens + t` (how K
+ * blocks store it, so one head's columns form a [dHead][blockTokens]
+ * slab whose positions are contiguous). An I8 block's payload keeps
+ * the same element order behind its quantization header.
+ *
+ * loadRow() and loadColumn() are the element-exact reference readers
+ * for either layout; the decode kernels read the contiguous
+ * direction of a block straight from the payload.
  */
 struct KvRowsView
 {
@@ -76,6 +91,7 @@ struct KvRowsView
     int64_t rowWidth = 0;             //!< elements per row (dModel)
     int64_t rows = 0;                 //!< valid rows (context C)
     KvDtype dtype = KvDtype::F16;     //!< storage element format
+    bool columnMajor = false;         //!< element order in a block
 
     /** Stored bytes per element (profiler traffic attribution). */
     int64_t
@@ -84,13 +100,27 @@ struct KvRowsView
         return dtype == KvDtype::F16 ? 2 : 1;
     }
 
-    /** Pointer to cached row `pos` (all heads). F16 views only. */
-    const Half *
-    row(int64_t pos) const
+    /** Index of element (pos, col) within its block's payload. */
+    int64_t
+    offset(int64_t pos, int64_t col) const
     {
-        return reinterpret_cast<const Half *>(
-                   blocks[pos / blockTokens]) +
-               (pos % blockTokens) * rowWidth;
+        const int64_t t = pos % blockTokens;
+        return columnMajor ? col * blockTokens + t : t * rowWidth + col;
+    }
+
+    /** Payload of row `pos`'s block. F16 views only. */
+    const Half *
+    halfs(int64_t pos) const
+    {
+        return reinterpret_cast<const Half *>(blocks[pos / blockTokens]);
+    }
+
+    /** Payload of row `pos`'s block, after its header. I8 views only. */
+    const int8_t *
+    int8s(int64_t pos) const
+    {
+        return reinterpret_cast<const int8_t *>(blocks[pos / blockTokens] +
+                                                kKvBlockQuantBytes);
     }
 
     /** Quantization header of row `pos`'s block. I8 views only. */
@@ -101,32 +131,49 @@ struct KvRowsView
             blocks[pos / blockTokens]);
     }
 
-    /** Pointer to quantized row `pos` (all heads). I8 views only. */
-    const int8_t *
-    rowI8(int64_t pos) const
-    {
-        return reinterpret_cast<const int8_t *>(
-                   blocks[pos / blockTokens] + kKvBlockQuantBytes) +
-               (pos % blockTokens) * rowWidth;
-    }
-
-    /**
-     * Read `n` fp32 elements of row `pos` starting at column `col`
-     * into `dst`. F16 rows go through the batch conversion substrate
-     * (bit-identical to the pre-quantization read path); I8 rows
-     * dequantize with their block's scale/zero header.
-     */
+    /** Read `n` fp32 elements of row `pos` starting at column `col`. */
     void
     loadRow(int64_t pos, int64_t col, int64_t n, float *dst) const
     {
+        load(pos, col, columnMajor ? blockTokens : 1, n, dst);
+    }
+
+    /**
+     * Read column `col` of the `n` rows starting at `pos`, which must
+     * all lie in `pos`'s block, as fp32.
+     */
+    void
+    loadColumn(int64_t pos, int64_t col, int64_t n, float *dst) const
+    {
+        load(pos, col, columnMajor ? 1 : rowWidth, n, dst);
+    }
+
+  private:
+    /**
+     * `n` elements from (pos, col), `stride` apart in the payload. F16
+     * goes through the batch conversion substrate (bit-identical to
+     * scalar conversion); I8 dequantizes with the block's header as
+     * (q - zero) * scale.
+     */
+    void
+    load(int64_t pos, int64_t col, int64_t stride, int64_t n,
+         float *dst) const
+    {
+        const int64_t at = offset(pos, col);
         if (dtype == KvDtype::F16) {
-            halfToFloat(row(pos) + col, dst, n);
+            const Half *src = halfs(pos) + at;
+            if (stride == 1) {
+                halfToFloat(src, dst, n);
+                return;
+            }
+            for (int64_t i = 0; i < n; ++i)
+                halfToFloat(src + i * stride, dst + i, 1);
             return;
         }
         const KvBlockQuant &q = blockQuant(pos);
-        const int8_t *src = rowI8(pos) + col;
+        const int8_t *src = int8s(pos) + at;
         for (int64_t i = 0; i < n; ++i)
-            dst[i] = (float(src[i]) - q.zero) * q.scale;
+            dst[i] = (float(src[i * stride]) - q.zero) * q.scale;
     }
 };
 
@@ -137,6 +184,14 @@ struct DecodeAttendDesc
     int64_t headOffset = 0; //!< column of this head in a cached row
     double scale = 1.0;     //!< QK^T epilogue scale (1/sqrt(dHead))
 };
+
+/**
+ * Most cached positions one decode span covers: the decode helpers
+ * walk the context in spans that never cross a block and hold at most
+ * this many positions, so the portable path's fp32 staging stays
+ * dHead x kDecodeSpanTokens whatever the block size.
+ */
+inline constexpr int64_t kDecodeSpanTokens = 64;
 
 /**
  * Reusable staging buffers for decodeAttendRun. The kernel runs once
@@ -151,7 +206,7 @@ struct DecodeAttendDesc
 struct DecodeAttendWorkspace
 {
     std::vector<float> qf;    //!< query row, fp32, dHead
-    std::vector<float> lane;  //!< one cached row's head slice, fp32
+    std::vector<float> span;  //!< portable path: one span of K or V
     std::vector<float> row;   //!< score/probability row, fp32
     std::vector<Half> rowH;   //!< fp16 round-trip of the score row
     std::vector<float> acc;   //!< output accumulator, fp32, dHead
@@ -161,12 +216,37 @@ struct DecodeAttendWorkspace
     prepare(int64_t d_head, int64_t context)
     {
         qf.resize(size_t(d_head));
-        lane.resize(size_t(d_head));
+        span.resize(size_t(d_head * kDecodeSpanTokens));
         row.resize(size_t(context));
         rowH.resize(size_t(context));
         acc.resize(size_t(d_head));
     }
 };
+
+/**
+ * Scores of cached positions [t0, t0 + n) for one head:
+ * s[j] = sum over ascending d of q[d] * K[t0 + j][headOffset + d],
+ * each from +0 as a separate multiply and add, then multiplied by
+ * float(desc.scale) when desc.scale != 1.0. Positions sit in SIMD
+ * lanes; a column-major K view is read in place (F16C conversion or
+ * int8 dequantization in registers on AVX2), any other view or
+ * backend through `ws.span`. Every path gives the bits of the scalar
+ * loop. `ws` must be prepared for desc.dHead.
+ */
+void decodeScores(const DecodeAttendDesc &desc, const float *q,
+                  const KvRowsView &k, int64_t t0, int64_t n, float *s,
+                  DecodeAttendWorkspace &ws);
+
+/**
+ * acc[d] += p[j] * V[t0 + j][headOffset + d] for j ascending, d <
+ * dHead: d sits in SIMD lanes and positions are walked in order, each
+ * term a separate multiply and add. Reads a row-major V view in place
+ * on AVX2, anything else through `ws.span`; every path gives the bits
+ * of the scalar loop.
+ */
+void decodeAccumulate(const DecodeAttendDesc &desc, const float *p,
+                      const KvRowsView &v, int64_t t0, int64_t n,
+                      float *acc, DecodeAttendWorkspace &ws);
 
 /**
  * One head's decode-step attention: score the query row against every

@@ -17,6 +17,12 @@
  *  - epilogue: one reciprocal inv = 1/d multiplied into the fp32
  *    accumulator (division-free inner loop), then the fp16 store.
  *
+ * The decode kernel forms its scores and P.V sums with the shared
+ * decodeScores / decodeAccumulate loops (kernels/decode_attention.hpp),
+ * which read the cached K and V in place with positions or d in SIMD
+ * lanes and keep the per-element order above, so the bits match the
+ * prefill kernel's micro-kernel scores and scalar P.V loop.
+ *
  * A causally masked prefill row stops its tile sweep at the diagonal,
  * which is exactly the ragged final tile a decode step of the same
  * context sees — so streaming prefill row i and streaming decode at
@@ -72,15 +78,16 @@ namespace {
 
 /**
  * Fold one w-wide tile of scaled scores into a row's running
- * (m, d, acc) state. `v_row(j)` returns the fp32 V row of tile
- * position j. Both kernels call exactly this, which is what makes
- * their outputs bit-identical for the same (q, K, V, context).
+ * (m, d, acc) state. `add_pv(p, acc)` adds p[j] * V[j] to acc for the
+ * tile's positions j ascending. Both kernels call exactly this, which
+ * is what makes their outputs bit-identical for the same
+ * (q, K, V, context).
  */
-template <typename VRowFn>
+template <typename AddPv>
 inline void
 onlineTileUpdate(float *SOFTREC_RESTRICT s, int64_t w, int64_t dh,
                  float &m, float &d, float *SOFTREC_RESTRICT acc,
-                 VRowFn &&v_row)
+                 AddPv &&add_pv)
 {
     float rescale = 1.0f;
     if (!onlineFold(s, w, m, d, rescale))
@@ -89,12 +96,7 @@ onlineTileUpdate(float *SOFTREC_RESTRICT s, int64_t w, int64_t dh,
         for (int64_t dd = 0; dd < dh; ++dd)
             acc[dd] *= rescale;
     }
-    for (int64_t j = 0; j < w; ++j) {
-        const float p = s[j];
-        const float *vr = v_row(j);
-        for (int64_t dd = 0; dd < dh; ++dd)
-            acc[dd] += p * vr[dd];
-    }
+    add_pv(s, acc);
 }
 
 /**
@@ -238,8 +240,13 @@ streamingAttentionRun(const ExecContext &ctx,
                         &sbuf[size_t(i * kStreamKeyTile)], w, dh,
                         mbuf[size_t(i)], dbuf[size_t(i)],
                         &accbuf[size_t(i * dh)],
-                        [vtile, dh](int64_t j) {
-                            return vtile + j * dh;
+                        [vtile, w, dh](const float *SOFTREC_RESTRICT p,
+                                         float *SOFTREC_RESTRICT acc) {
+                            for (int64_t j = 0; j < w; ++j) {
+                                const float *vr = vtile + j * dh;
+                                for (int64_t dd = 0; dd < dh; ++dd)
+                                    acc[dd] += p[j] * vr[dd];
+                            }
                         });
                 }
             }
@@ -276,6 +283,7 @@ decodeAttendStreamRun(const ExecContext &ctx,
                       uint64_t(2 * context * dh) *
                           uint64_t(k.elemBytes()));             // K, V
         scope.addWrite(uint64_t(dh) * kFp16Bytes);
+        scope.addFlops(uint64_t(4 * context * dh)); // QK and P.V
     }
 
     DecodeAttendWorkspace local;
@@ -283,36 +291,21 @@ decodeAttendStreamRun(const ExecContext &ctx,
     // The score "row" is one kStreamKeyTile-wide tile, never the full
     // context; rowH stays untouched (no fp16 staging round-trip).
     w.prepare(dh, kStreamKeyTile);
-    std::vector<float> &qf = w.qf;
-    std::vector<float> &lane = w.lane;
     std::vector<float> &tile = w.row;
     std::vector<float> &acc = w.acc;
-    halfToFloat(q_row, qf.data(), dh);
+    halfToFloat(q_row, w.qf.data(), dh);
     std::fill(acc.begin(), acc.end(), 0.0f);
     float m = kNegInf;
     float d = 0.0f;
 
     for (int64_t t0 = 0; t0 < context; t0 += kStreamKeyTile) {
         const int64_t tw = std::min(kStreamKeyTile, context - t0);
-        // Scores for this tile: the same d-ascending fp32 dot and
-        // conditional scale as decodeAttendRun, reading cached K rows
-        // in place.
-        for (int64_t j = 0; j < tw; ++j) {
-            k.loadRow(t0 + j, desc.headOffset, dh, lane.data());
-            float s = 0.0f;
-            for (int64_t kk = 0; kk < dh; ++kk)
-                s += qf[size_t(kk)] * lane[size_t(kk)];
-            tile[size_t(j)] = s;
-        }
-        if (desc.scale != 1.0) {
-            for (int64_t j = 0; j < tw; ++j)
-                tile[size_t(j)] *= float(desc.scale);
-        }
+        // Scores for this tile: the same loop as decodeAttendRun's,
+        // reading the cached K in place.
+        decodeScores(desc, w.qf.data(), k, t0, tw, tile.data(), w);
         onlineTileUpdate(tile.data(), tw, dh, m, d, acc.data(),
-                         [&](int64_t j) {
-                             v.loadRow(t0 + j, desc.headOffset, dh,
-                                       lane.data());
-                             return lane.data();
+                         [&](const float *p, float *a) {
+                             decodeAccumulate(desc, p, v, t0, tw, a, w);
                          });
     }
     storeRow(acc.data(), dh, m, d, out);

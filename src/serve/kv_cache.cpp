@@ -20,24 +20,29 @@ namespace {
 constexpr int64_t kKvBlockAlign = 16;
 
 /**
- * Symmetric-clamp quantization of one fp32 row with a fixed scale.
- * nearbyint (round-to-nearest-even under the default mode) keeps the
- * result deterministic across backends; the clamp to [-127, 127]
- * keeps the code symmetric so -amax and +amax round-trip with the
- * same error bound. scale == 0 means the block is all zeros so far.
+ * Symmetric-clamp quantization of one fp32 row with a fixed scale,
+ * element j stored at dst[j * stride]. nearbyint
+ * (round-to-nearest-even under the default mode) keeps the result
+ * deterministic across backends; the clamp to [-127, 127] keeps the
+ * code symmetric so -amax and +amax round-trip with the same error
+ * bound. scale == 0 means the block is all zeros so far. The row must
+ * be finite: a NaN would clamp to -127 and an infinity would make the
+ * scale infinite (appendI8 checks this in checked builds).
  */
 void
-quantizeRow(const float *src, int64_t n, float scale, int8_t *dst)
+quantizeRow(const float *src, int64_t n, float scale, int8_t *dst,
+            int64_t stride)
 {
     if (scale == 0.0f) {
-        std::memset(dst, 0, size_t(n));
+        for (int64_t j = 0; j < n; ++j)
+            dst[j * stride] = 0;
         return;
     }
     const float inv = 1.0f / scale;
     for (int64_t j = 0; j < n; ++j) {
         float q = std::nearbyint(src[j] * inv);
         q = std::min(127.0f, std::max(-127.0f, q));
-        dst[j] = int8_t(q);
+        dst[j * stride] = int8_t(q);
     }
 }
 
@@ -129,6 +134,8 @@ KvCache::KvCache(KvSlab &slab, int64_t num_layers)
     : slab_(slab), layers_(size_t(num_layers))
 {
     SOFTREC_ASSERT(num_layers > 0, "KvCache needs at least one layer");
+    for (LayerRows &layer : layers_)
+        layer.k.columnMajor = true;
     if (slab_.dtype() == KvDtype::I8)
         scratch_.resize(size_t(slab_.rowWidth()));
 }
@@ -167,11 +174,16 @@ KvCache::blockFor(BlockRun &run, int64_t pos)
 void
 KvCache::appendF16(BlockRun &run, int64_t pos, const Half *row)
 {
+    const int64_t rw = slab_.rowWidth();
     const int64_t in_block = pos % slab_.blockTokens();
-    std::byte *block = blockFor(run, pos);
-    std::memcpy(block + size_t(in_block * slab_.rowWidth()) *
-                            sizeof(Half),
-                row, size_t(slab_.rowWidth()) * sizeof(Half));
+    Half *payload = reinterpret_cast<Half *>(blockFor(run, pos));
+    if (!run.columnMajor) {
+        std::memcpy(payload + in_block * rw, row,
+                    size_t(rw) * sizeof(Half));
+        return;
+    }
+    for (int64_t c = 0; c < rw; ++c)
+        payload[c * slab_.blockTokens() + in_block] = row[c];
 }
 
 void
@@ -183,6 +195,19 @@ KvCache::appendI8(BlockRun &run, int64_t pos, const Half *row)
     if (run.open.empty())
         run.open.resize(size_t(slab_.blockTokens() * rw));
 
+    halfToFloat(row, scratch_.data(), rw);
+    float amax = 0.0f;
+    for (int64_t j = 0; j < rw; ++j) {
+        // max() would skip a NaN and quantizeRow would store it as
+        // -127, and an infinity would poison the whole block's scale.
+        SOFTREC_CHECK(std::isfinite(scratch_[size_t(j)]),
+                      "int8 KV cache got non-finite element %f at "
+                      "column %lld of row %lld",
+                      double(scratch_[size_t(j)]), (long long)j,
+                      (long long)pos);
+        amax = std::max(amax, std::fabs(scratch_[size_t(j)]));
+    }
+
     // Stage the exact fp16 row: rescales always requantize from these
     // copies, so a row's error is bounded by the *final* block scale
     // (<= scale / 2 per element) and never compounds through an
@@ -190,11 +215,9 @@ KvCache::appendI8(BlockRun &run, int64_t pos, const Half *row)
     Half *staged = run.open.data() + size_t(in_block * rw);
     std::memcpy(staged, row, size_t(rw) * sizeof(Half));
 
-    halfToFloat(row, scratch_.data(), rw);
-    float amax = 0.0f;
-    for (int64_t j = 0; j < rw; ++j)
-        amax = std::max(amax, std::fabs(scratch_[j]));
-
+    // Element (r, c) of the payload, as in KvRowsView::offset.
+    const int64_t token_step = run.columnMajor ? 1 : rw;
+    const int64_t col_step = run.columnMajor ? slab_.blockTokens() : 1;
     auto *header = reinterpret_cast<KvBlockQuant *>(block);
     auto *payload =
         reinterpret_cast<int8_t *>(block + kKvBlockQuantBytes);
@@ -206,11 +229,11 @@ KvCache::appendI8(BlockRun &run, int64_t pos, const Half *row)
             halfToFloat(run.open.data() + size_t(r * rw),
                         scratch_.data(), rw);
             quantizeRow(scratch_.data(), rw, header->scale,
-                        payload + r * rw);
+                        payload + r * token_step, col_step);
         }
     } else {
         quantizeRow(scratch_.data(), rw, header->scale,
-                    payload + in_block * rw);
+                    payload + in_block * token_step, col_step);
     }
 }
 
@@ -243,15 +266,15 @@ KvCache::context() const
 }
 
 KvRowsView
-KvCache::view(const std::vector<std::byte *> &blocks,
-              int64_t rows) const
+KvCache::view(const BlockRun &run, int64_t rows) const
 {
     KvRowsView out;
-    out.blocks = blocks.data();
+    out.blocks = run.blocks.data();
     out.blockTokens = slab_.blockTokens();
     out.rowWidth = slab_.rowWidth();
     out.rows = rows;
     out.dtype = slab_.dtype();
+    out.columnMajor = run.columnMajor;
     return out;
 }
 
@@ -261,7 +284,7 @@ KvCache::kView(int64_t layer) const
     SOFTREC_ASSERT(layer >= 0 && layer < int64_t(layers_.size()),
                    "layer %lld out of range", (long long)layer);
     const LayerRows &rows = layers_[size_t(layer)];
-    return view(rows.k.blocks, rows.rows);
+    return view(rows.k, rows.rows);
 }
 
 KvRowsView
@@ -270,7 +293,7 @@ KvCache::vView(int64_t layer) const
     SOFTREC_ASSERT(layer >= 0 && layer < int64_t(layers_.size()),
                    "layer %lld out of range", (long long)layer);
     const LayerRows &rows = layers_[size_t(layer)];
-    return view(rows.v.blocks, rows.rows);
+    return view(rows.v, rows.rows);
 }
 
 } // namespace softrec

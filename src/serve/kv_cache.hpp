@@ -12,8 +12,8 @@
  *
  * Blocks come in two storage formats (KvDtype):
  *
- *   F16  rows stored exactly as appended — the bit-exact reference
- *        the decode equivalence tests pin down;
+ *   F16  elements stored exactly as appended — the bit-exact
+ *        reference the decode equivalence tests pin down;
  *   I8   per-block symmetric quantization: a 16-byte fp32 scale/zero
  *        header followed by the int8 payload. appendRow quantizes on
  *        write; when a new row widens the open block's range the
@@ -22,6 +22,16 @@
  *        scale = blockAmax / 127 (no compounding through the stale
  *        scale). KV bytes drop ~2x, which the serve engine turns
  *        directly into ~2x token capacity at a fixed slab budget.
+ *
+ * Blocks also come in two element orders. K blocks are column-major
+ * (element (t, c) at c * blockTokens + t), so one head's keys form a
+ * [dHead][blockTokens] slab and the decode kernels hold positions in
+ * SIMD lanes while scoring; V blocks are row-major
+ * (t * rowWidth + c), so the P.V sum holds columns in the lanes. An
+ * I8 payload keeps its block's order behind the unchanged 16-byte
+ * header, and either order has the same block bytes. KvRowsView
+ * records the order, and its loadRow() reads either one
+ * element-exactly.
  *
  * Both classes are driver-thread-only by design: the serve loop owns
  * admission, decode, and eviction on one thread, and the decode
@@ -116,11 +126,14 @@ class KvSlab
  * One request's cached K/V rows across every decoder layer, backed by
  * slab blocks. Rows append monotonically (one per prompt token at
  * prefill, one per decode step); all blocks return to the slab on
- * destruction. The storage format is the slab's: F16 appends are a
- * straight memcpy, I8 appends quantize (and, when the new row widens
+ * destruction. The storage format is the slab's: F16 appends copy the
+ * row (V as one memcpy, K into column `t` of its block), I8 appends
+ * quantize in the same element order (and, when the new row widens
  * the open block's range, requantize the block from its fp16 staging
  * copies). Neither path allocates per append once the staging
- * buffers exist, so the decode hot path stays malloc-free.
+ * buffers exist, so the decode hot path stays malloc-free. Checked
+ * builds reject a non-finite element on the I8 path, which int8
+ * cannot represent.
  */
 class KvCache
 {
@@ -158,6 +171,7 @@ class KvCache
     struct BlockRun
     {
         std::vector<std::byte *> blocks;
+        bool columnMajor = false; //!< K runs: see KvRowsView
         std::vector<Half> open; //!< I8 only: open block's fp16 rows
         float openAmax = 0.0f;  //!< I8 only: open block's range
     };
@@ -171,8 +185,7 @@ class KvCache
     std::byte *blockFor(BlockRun &run, int64_t pos);
     void appendF16(BlockRun &run, int64_t pos, const Half *row);
     void appendI8(BlockRun &run, int64_t pos, const Half *row);
-    KvRowsView view(const std::vector<std::byte *> &blocks,
-                    int64_t rows) const;
+    KvRowsView view(const BlockRun &run, int64_t rows) const;
 
     KvSlab &slab_;
     std::vector<LayerRows> layers_;

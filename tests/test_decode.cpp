@@ -3,7 +3,9 @@
  * Tests of the autoregressive generation study, plus the KV-cache
  * equivalence suite: incremental decode through the functional KV
  * path must be bit-identical to recomputing the full prefix at every
- * step, across thread counts and SIMD backends.
+ * step, across thread counts and SIMD backends. The DecodeKernels
+ * cases pin both decode kernels to the per-position loop they
+ * replaced, over ragged block sizes and contexts.
  */
 
 #include <gtest/gtest.h>
@@ -13,7 +15,9 @@
 #include <utility>
 #include <vector>
 
+#include "common/profiler.hpp"
 #include "common/rng.hpp"
+#include "kernels/softmax_row.hpp"
 #include "kernels/streaming_attention.hpp"
 #include "model/decode.hpp"
 #include "model/functional_layer.hpp"
@@ -90,38 +94,42 @@ expectRowBitsEqual(const Tensor<Half> &got, int64_t got_row,
 }
 
 /**
- * Drive `kSteps` incremental decode steps and assert each output row
+ * Drive `steps` incremental decode steps after a `prompt_tokens`
+ * prefill into blocks of `block_tokens`, and assert each output row
  * is bit-identical to a full-prefix recompute of the same sequence.
  */
 void
-checkIncrementalMatchesRecompute(const ExecContext &ctx)
+checkIncrementalMatchesRecompute(const ExecContext &ctx,
+                                 int64_t block_tokens = 4,
+                                 int64_t prompt_tokens = kPrompt,
+                                 int64_t steps = kSteps)
 {
     Rng rng(17);
     const DecoderStack stack =
         DecoderStack::random(kDm, kHeads, kDff, kLayers, rng);
-    const Tensor<Half> prompt = randomPrompt(rng, kPrompt);
+    const Tensor<Half> prompt = randomPrompt(rng, prompt_tokens);
 
-    KvSlab slab(/*block_tokens=*/4, kDm);
+    KvSlab slab(block_tokens, kDm);
     KvCache cache(slab, kLayers);
     const Tensor<Half> prefill_out =
         runPrefill(ctx, stack, prompt, cache);
-    EXPECT_EQ(cache.context(), kPrompt);
+    EXPECT_EQ(cache.context(), prompt_tokens);
 
     // The prefill itself must match a plain stack forward bit for bit.
     const Tensor<Half> plain = fullForward(ctx, stack, prompt);
-    for (int64_t i = 0; i < kPrompt; ++i)
+    for (int64_t i = 0; i < prompt_tokens; ++i)
         expectRowBitsEqual(prefill_out, i, plain, i, "prefill", i);
 
     Tensor<Half> seq = prompt;
     Tensor<Half> input(Shape({1, kDm}));
     for (int64_t j = 0; j < kDm; ++j)
-        input.at(0, j) = prefill_out.at(kPrompt - 1, j);
+        input.at(0, j) = prefill_out.at(prompt_tokens - 1, j);
 
-    for (int64_t t = 0; t < kSteps; ++t) {
+    for (int64_t t = 0; t < steps; ++t) {
         seq = appendRow(seq, input, 0);
         const Tensor<Half> decode_out =
             decodeStep(ctx, stack, input, {&cache});
-        EXPECT_EQ(cache.context(), kPrompt + t + 1);
+        EXPECT_EQ(cache.context(), prompt_tokens + t + 1);
 
         const Tensor<Half> full = fullForward(ctx, stack, seq);
         expectRowBitsEqual(decode_out, 0, full,
@@ -159,6 +167,18 @@ TEST(KvEquivalence, DetectedSimdBackendThreaded)
     ExecContext ctx;
     ctx.pool = &pool;
     checkIncrementalMatchesRecompute(ctx);
+    setSimdBackend(prev);
+}
+
+TEST(KvEquivalence, ServingBlockSizeAcrossABlockBoundary)
+{
+    // The serving default kvBlockTokens = 64: a 61-token prompt and 8
+    // steps fill the first block and open the second, so the decode
+    // kernels run their full 64-position lane blocks and then a
+    // ragged block, on both backends.
+    checkIncrementalMatchesRecompute(ExecContext(), 64, 61, 8);
+    const SimdBackend prev = setSimdBackend(SimdBackend::Scalar);
+    checkIncrementalMatchesRecompute(ExecContext(), 64, 61, 8);
     setSimdBackend(prev);
 }
 
@@ -221,10 +241,209 @@ TEST(KvEquivalence, PrefillCacheHoldsTheProjectedRows)
         stack.layers[0].bk);
     const KvRowsView view = cache.kView(0);
     ASSERT_EQ(view.rows, kPrompt);
-    for (int64_t i = 0; i < kPrompt; ++i)
+    std::vector<float> row(static_cast<size_t>(kDm));
+    for (int64_t i = 0; i < kPrompt; ++i) {
+        view.loadRow(i, 0, kDm, row.data());
         for (int64_t j = 0; j < kDm; ++j)
-            EXPECT_EQ(view.row(i)[j].bits(), k.at(i, j).bits())
+            EXPECT_EQ(Half(row[size_t(j)]).bits(), k.at(i, j).bits())
                 << "row " << i << " column " << j;
+    }
+}
+
+// --- decode kernels against the per-position loop ----------------------
+
+/**
+ * The per-position decode loop the kernels replaced, kept as their
+ * oracle: each cached row read through loadRow, a scalar d-ascending
+ * dot with the conditional scale, the score row through fp16, then
+ * either the three-pass safe softmax and a scalar P.V sum
+ * (decodeAttendRun) or kStreamKeyTile-wide tiles folded through
+ * onlineFold with the 1/d epilogue (decodeAttendStreamRun).
+ */
+std::vector<Half>
+oracleDecode(const DecodeAttendDesc &desc, const std::vector<Half> &q,
+             const KvRowsView &k, const KvRowsView &v, bool streaming)
+{
+    const int64_t dh = desc.dHead;
+    const int64_t context = k.rows;
+    std::vector<float> qf(static_cast<size_t>(dh));
+    std::vector<float> lane(static_cast<size_t>(dh));
+    std::vector<float> row(static_cast<size_t>(context));
+    halfToFloat(q.data(), qf.data(), dh);
+    for (int64_t pos = 0; pos < context; ++pos) {
+        k.loadRow(pos, desc.headOffset, dh, lane.data());
+        float s = 0.0f;
+        for (int64_t d = 0; d < dh; ++d)
+            s += qf[size_t(d)] * lane[size_t(d)];
+        if (desc.scale != 1.0)
+            s *= float(desc.scale);
+        row[size_t(pos)] = s;
+    }
+    std::vector<float> acc(static_cast<size_t>(dh), 0.0f);
+    auto add_pv = [&](int64_t t0, int64_t n) {
+        for (int64_t pos = t0; pos < t0 + n; ++pos) {
+            v.loadRow(pos, desc.headOffset, dh, lane.data());
+            for (int64_t d = 0; d < dh; ++d)
+                acc[size_t(d)] += row[size_t(pos)] * lane[size_t(d)];
+        }
+    };
+    std::vector<Half> out(static_cast<size_t>(dh));
+    if (streaming) {
+        float m = kNegInf;
+        float denom = 0.0f;
+        for (int64_t t0 = 0; t0 < context; t0 += kStreamKeyTile) {
+            const int64_t n = std::min(kStreamKeyTile, context - t0);
+            float rescale = 1.0f;
+            if (!onlineFold(&row[size_t(t0)], n, m, denom, rescale))
+                continue;
+            for (float &a : acc)
+                a *= rescale;
+            add_pv(t0, n);
+        }
+        const float inv = 1.0f / denom;
+        for (float &a : acc)
+            a *= inv;
+    } else {
+        std::vector<Half> row_h(static_cast<size_t>(context));
+        floatToHalf(row.data(), row_h.data(), context);
+        halfToFloat(row_h.data(), row.data(), context);
+        safeSoftmax(row.data(), context);
+        floatToHalf(row.data(), row_h.data(), context);
+        halfToFloat(row_h.data(), row.data(), context);
+        add_pv(0, context);
+    }
+    floatToHalf(acc.data(), out.data(), dh);
+    return out;
+}
+
+/**
+ * Both decode kernels over one cache of `context` random rows (two
+ * heads of `dh`) in blocks of `block_tokens`, against oracleDecode bit
+ * for bit; with F16 the streaming kernel must also equal full-prefix
+ * streaming (streamingAttentionRun over the same head's rows).
+ */
+void
+checkDecodeKernelsAgainstOracle(KvDtype dtype, int64_t block_tokens,
+                                int64_t context, int64_t dh,
+                                DecodeAttendWorkspace &ws)
+{
+    const int64_t width = 2 * dh;
+    KvSlab slab(block_tokens, width, 8, dtype);
+    KvCache cache(slab, 1);
+    Rng rng(uint64_t(1000 * context + 10 * block_tokens + dh));
+    Tensor<Half> k_rows(Shape({context, width}));
+    Tensor<Half> v_rows(Shape({context, width}));
+    for (int64_t t = 0; t < context; ++t) {
+        for (int64_t j = 0; j < width; ++j) {
+            k_rows.at(t, j) = Half(float(rng.normal(0.0, 1.0)));
+            v_rows.at(t, j) = Half(float(rng.normal(0.0, 1.0)));
+        }
+        cache.appendRow(0, k_rows.rowPtr(t), v_rows.rowPtr(t));
+    }
+    const KvRowsView k = cache.kView(0);
+    const KvRowsView v = cache.vView(0);
+    for (int64_t head = 0; head < 2; ++head) {
+        DecodeAttendDesc desc;
+        desc.dHead = dh;
+        desc.headOffset = head * dh;
+        desc.scale = dh == 64 ? 0.125 : 1.0;
+        Tensor<Half> q(Shape({1, dh}));
+        for (int64_t j = 0; j < dh; ++j)
+            q.at(0, j) = Half(float(rng.normal(0.0, 0.5)));
+        const std::vector<Half> q_row(q.data(), q.data() + dh);
+
+        std::vector<Half> got(static_cast<size_t>(dh));
+        std::vector<Half> got_stream(static_cast<size_t>(dh));
+        decodeAttendRun(ExecContext(), desc, q.data(), k, v, got.data(),
+                        &ws);
+        decodeAttendStreamRun(ExecContext(), desc, q.data(), k, v,
+                              got_stream.data(), &ws);
+        const std::vector<Half> want =
+            oracleDecode(desc, q_row, k, v, /*streaming=*/false);
+        const std::vector<Half> want_stream =
+            oracleDecode(desc, q_row, k, v, /*streaming=*/true);
+        for (int64_t j = 0; j < dh; ++j) {
+            ASSERT_EQ(got[size_t(j)].bits(), want[size_t(j)].bits())
+                << "head " << head << " column " << j;
+            ASSERT_EQ(got_stream[size_t(j)].bits(),
+                      want_stream[size_t(j)].bits())
+                << "streaming, head " << head << " column " << j;
+        }
+        if (dtype != KvDtype::F16)
+            continue;
+        Tensor<Half> k_head(Shape({context, dh}));
+        Tensor<Half> v_head(Shape({context, dh}));
+        for (int64_t t = 0; t < context; ++t)
+            for (int64_t j = 0; j < dh; ++j) {
+                k_head.at(t, j) = k_rows.at(t, desc.headOffset + j);
+                v_head.at(t, j) = v_rows.at(t, desc.headOffset + j);
+            }
+        StreamingAttentionDesc full;
+        full.seqLen = 1;
+        full.kvLen = context;
+        full.dHead = dh;
+        full.scale = desc.scale;
+        Tensor<Half> prefix(Shape({1, dh}));
+        streamingAttentionRun(ExecContext(), full, q, k_head, v_head,
+                              prefix);
+        for (int64_t j = 0; j < dh; ++j)
+            ASSERT_EQ(got_stream[size_t(j)].bits(), prefix.at(0, j).bits())
+                << "full-prefix streaming, head " << head << " column "
+                << j;
+    }
+}
+
+TEST(DecodeKernels, MatchThePerPositionLoopOverRaggedBlocks)
+{
+    // Block sizes below, at and above the 8-lane vector and the
+    // 64-position span; contexts ragged against all of them; a 20-wide
+    // head (ragged P.V lanes, scale 1.0 skipped) and a 64-wide one.
+    DecodeAttendWorkspace ws;
+    for (const SimdBackend backend :
+         {SimdBackend::Scalar, detectedSimdBackend()}) {
+        const SimdBackend prev = setSimdBackend(backend);
+        for (const KvDtype dtype : {KvDtype::F16, KvDtype::I8})
+            for (const int64_t block_tokens : {1, 3, 8, 64})
+                for (const int64_t context : {1, 7, 8, 9, 63, 64, 65, 130})
+                    for (const int64_t dh : {20, 64}) {
+                        SCOPED_TRACE(testing::Message()
+                                     << simdBackendName(backend) << " "
+                                     << kvDtypeName(dtype)
+                                     << " blockTokens " << block_tokens
+                                     << " context " << context
+                                     << " dHead " << dh);
+                        checkDecodeKernelsAgainstOracle(
+                            dtype, block_tokens, context, dh, ws);
+                    }
+        setSimdBackend(prev);
+    }
+}
+
+TEST(DecodeKernels, ScopesCreditQkAndPvFlops)
+{
+    // 2 * C * dHead for the scores plus 2 * C * dHead for P.V, so a
+    // traced run reports the decode kernels' GFLOP/s.
+    constexpr int64_t kContext = 37;
+    constexpr int64_t kHead = kDm / kHeads;
+    KvSlab slab(/*block_tokens=*/8, kDm);
+    KvCache cache(slab, 1);
+    Rng rng(31);
+    const Tensor<Half> rows = randomPrompt(rng, kContext);
+    for (int64_t t = 0; t < kContext; ++t)
+        cache.appendRow(0, rows.rowPtr(t), rows.rowPtr(t));
+    prof::Profiler profiler;
+    ExecContext ctx;
+    ctx.profiler = &profiler;
+    DecodeAttendDesc desc;
+    desc.dHead = kHead;
+    std::vector<Half> out(static_cast<size_t>(kHead));
+    decodeAttendRun(ctx, desc, rows.rowPtr(0), cache.kView(0),
+                    cache.vView(0), out.data());
+    decodeAttendStreamRun(ctx, desc, rows.rowPtr(0), cache.kView(0),
+                          cache.vView(0), out.data());
+    const uint64_t want = 4 * kContext * kHead;
+    EXPECT_EQ(profiler.statsFor("decode.attend").flops, want);
+    EXPECT_EQ(profiler.statsFor("decode.attend.stream").flops, want);
 }
 
 /** FNV-1a over the fp16 bit patterns of `t`, continuing from `h`. */

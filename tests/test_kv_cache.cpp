@@ -3,8 +3,10 @@
  * Dedicated KvSlab/KvCache suite: freelist recycling and chunk
  * growth, per-layer append invariants, block-boundary addressing in
  * both storage formats, the per-block int8 quantization contract
- * (round-trip error <= scale / 2, rescale-on-append never compounds),
- * checked-build poison-on-release, and the end-to-end quantized
+ * (round-trip error <= scale / 2, rescale-on-append never compounds,
+ * non-finite elements rejected in checked builds), checked-build
+ * poison-on-release and the decode kernels tripping on a stale view
+ * of a released block, and the end-to-end quantized
  * decode error bound (<= 5e-2 vs the fp16 reference) for both decode
  * kernels. Before this file the cache was only covered indirectly
  * through the serve tests.
@@ -14,6 +16,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/check.hpp"
@@ -132,13 +135,18 @@ TEST(KvCache, ViewsAddressRowsAcrossBlockBoundaries)
     const KvRowsView v = cache.vView(0);
     ASSERT_EQ(k.rows, 5);
     EXPECT_EQ(k.dtype, KvDtype::F16);
-    for (int t = 0; t < 5; ++t)
+    std::vector<float> k_got(static_cast<size_t>(kDm));
+    std::vector<float> v_got(static_cast<size_t>(kDm));
+    for (int t = 0; t < 5; ++t) {
+        k.loadRow(t, 0, kDm, k_got.data());
+        v.loadRow(t, 0, kDm, v_got.data());
         for (int64_t j = 0; j < kDm; ++j) {
-            EXPECT_EQ(k.row(t)[j].bits(),
+            EXPECT_EQ(Half(k_got[size_t(j)]).bits(),
                       Half(float(t * 100 + j)).bits());
-            EXPECT_EQ(v.row(t)[j].bits(),
+            EXPECT_EQ(Half(v_got[size_t(j)]).bits(),
                       Half(float(-(t * 100 + j))).bits());
         }
+    }
 }
 
 TEST(KvCache, UnevenLayerAppendsAreCaught)
@@ -290,6 +298,32 @@ TEST(KvCacheI8, BlocksQuantizeIndependently)
     }
 }
 
+TEST(KvCacheI8, NonFiniteElementsAreRejectedInCheckedBuilds)
+{
+    // int8 cannot hold them: max() skips a NaN, which then clamps to
+    // -127 (stored as -amax), and an infinity makes the block scale
+    // infinite so every other element dequantizes to 0 * inf = NaN.
+    if (!kCheckedBuild)
+        GTEST_SKIP() << "the finite-element check is compiled out";
+    for (const float bad : {std::numeric_limits<float>::quiet_NaN(),
+                            std::numeric_limits<float>::infinity()}) {
+        KvSlab slab(/*block_tokens=*/4, kDm, /*blocks_per_chunk=*/4,
+                    KvDtype::I8);
+        KvCache cache(slab, /*num_layers=*/1);
+        Rng rng(109);
+        const std::vector<Half> good = randomRow(rng, kDm);
+        cache.appendRow(0, good.data(), good.data());
+        std::vector<Half> row = randomRow(rng, kDm);
+        row[5] = Half(bad);
+        EXPECT_THROW(cache.appendRow(0, row.data(), good.data()),
+                     std::logic_error)
+            << "K element " << bad;
+        EXPECT_THROW(cache.appendRow(0, good.data(), row.data()),
+                     std::logic_error)
+            << "V element " << bad;
+    }
+}
+
 // --- poison-on-release (checked builds) -------------------------------
 
 TEST(KvSlab, ReleasePoisonsF16BlocksInCheckedBuilds)
@@ -327,6 +361,55 @@ TEST(KvSlab, ReleasePoisonsI8HeadersInCheckedBuilds)
         reinterpret_cast<const int8_t *>(block + kKvBlockQuantBytes);
     for (int64_t i = 0; i < 2 * 4; ++i)
         EXPECT_EQ(payload[i], int8_t(-128));
+}
+
+TEST(KvSlab, StaleViewTripsTheDecodeKernelsInCheckedBuilds)
+{
+    // A view kept past its cache reads released, poisoned blocks: both
+    // decode kernels must reject the NaN-flooded row rather than serve
+    // it, in either storage format.
+    if (!kCheckedBuild)
+        GTEST_SKIP() << "poison-on-release is compiled out";
+    constexpr int64_t kHead = 16;
+    for (const KvDtype dtype : {KvDtype::F16, KvDtype::I8}) {
+        KvSlab slab(/*block_tokens=*/4, kDm, /*blocks_per_chunk=*/8,
+                    dtype);
+        KvRowsView k;
+        KvRowsView v;
+        std::vector<const std::byte *> k_blocks;
+        std::vector<const std::byte *> v_blocks;
+        {
+            KvCache cache(slab, /*num_layers=*/1);
+            Rng rng(113);
+            for (int t = 0; t < 10; ++t) {
+                const std::vector<Half> row = randomRow(rng, kDm);
+                cache.appendRow(0, row.data(), row.data());
+            }
+            // Copy the block tables too: the cache frees its own.
+            k = cache.kView(0);
+            v = cache.vView(0);
+            k_blocks.assign(k.blocks, k.blocks + 3);
+            v_blocks.assign(v.blocks, v.blocks + 3);
+            k.blocks = k_blocks.data();
+            v.blocks = v_blocks.data();
+        }
+        ASSERT_EQ(slab.blocksInUse(), 0);
+
+        Rng rng(127);
+        const std::vector<Half> q = randomRow(rng, kHead);
+        DecodeAttendDesc desc;
+        desc.dHead = kHead;
+        desc.headOffset = kHead;
+        std::vector<Half> out(static_cast<size_t>(kHead));
+        EXPECT_THROW(decodeAttendRun(ExecContext(), desc, q.data(), k, v,
+                                     out.data()),
+                     std::logic_error)
+            << kvDtypeName(dtype);
+        EXPECT_THROW(decodeAttendStreamRun(ExecContext(), desc, q.data(),
+                                           k, v, out.data()),
+                     std::logic_error)
+            << kvDtypeName(dtype);
+    }
 }
 
 // --- quantized decode vs the fp16 reference ---------------------------

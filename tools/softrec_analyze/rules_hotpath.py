@@ -28,6 +28,8 @@ KERNEL_DIRS = ("src/kernels/",)
 # batch recomposition) that keeps these bodies clean.
 HOT_FUNCTIONS = {
     "decodeAttendRun",          # src/kernels/decode_attention.cpp
+    "decodeScores",             # src/kernels/decode_attention.cpp
+    "decodeAccumulate",         # src/kernels/decode_attention.cpp
     "runDecodeStepInto",        # src/model/decode.cpp
     "attendRows",               # src/model/decode.cpp
     "runLayer",                 # src/model/functional_layer.cpp
@@ -63,8 +65,9 @@ def _hot_function_lines(src):
     "allocation on the kernel/decode hot path",
     "no new/malloc/container growth (a) inside loop bodies or "
     "parallelFor lambdas in src/kernels/, or (b) anywhere in the "
-    "per-token decode functions (decodeAttendRun, runDecodeStepInto, "
-    "attendRows, runLayer, ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
+    "per-token decode functions (decodeAttendRun, decodeScores, "
+    "decodeAccumulate, runDecodeStepInto, attendRows, runLayer, "
+    "ServeEngine::serveStep). Stage into pre-sized buffers, reuse a "
     "workspace (DecodeAttendWorkspace / DecodeStepWorkspace), or "
     "hoist the allocation out of the steady state; per-chunk staging "
     "that is deliberately amortized lives in the baseline with its "
